@@ -70,12 +70,12 @@ def test_ablation_near_constant_work_per_reference(benchmark, name):
 
     rt = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = rt.collector.stats
-    ds = rt.collector.equilive.ds
+    equilive = rt.collector.equilive
     references = stats.store_events + stats.areturn_events + 1
-    finds_per_ref = ds.finds / references
+    finds_per_ref = equilive.finds / references
     assert finds_per_ref < 6.0, finds_per_ref
     # Ranks stay tiny (the thesis observed <= 10 on SPECjvm98).
-    assert all(ds.rank_of(r) <= 10 for r in list(ds.roots())[:500])
+    assert all(block.rank <= 10 for block in list(equilive.blocks())[:500])
 
 
 def test_ablation_cg_avoids_marking_vs_tracers(benchmark):

@@ -77,7 +77,7 @@ def main():
     print(f"popped:    {census['popped']} (collected by CG at frame pops)")
     print(f"static:    {census['static']} (live for the program's duration)")
     print(f"unions:    {stats.contaminations}, "
-          f"union-find ops: {cg.equilive.ds.finds} finds")
+          f"union-find ops: {cg.equilive.finds} finds")
     print(f"traditional GC cycles needed: {runtime.tracing.work.cycles}")
     runtime.check_heap_accounting()
     runtime.check_cg_invariants()

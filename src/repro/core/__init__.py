@@ -17,7 +17,6 @@ from .stats import (
     CAUSE_SHARED,
     CGStats,
 )
-from .unionfind import DisjointSets
 
 __all__ = [
     "CAUSE_INTERN",
@@ -29,7 +28,6 @@ __all__ = [
     "CGPolicy",
     "CGStats",
     "ContaminatedCollector",
-    "DisjointSets",
     "EquiliveBlock",
     "EquiliveManager",
     "RecycleList",

@@ -37,7 +37,8 @@ from ..jvm.frames import Frame, StaticFrame
 from ..jvm.heap import Handle, Heap
 from ..obs.events import NULL_TRACER
 from ..obs.profile import NULL_PROFILER, PHASE_CG_EVENTS, PHASE_RECYCLE
-from .equilive import EquiliveBlock, EquiliveManager
+from .equilive import (EquiliveBlock, EquiliveManager, find_root,
+                       untracked_error)
 from .policy import CGPolicy
 from .recycle import RecycleList
 from .stats import (
@@ -77,6 +78,9 @@ class ContaminatedCollector:
         self._trace = self.tracer.enabled
         self.profiler = profiler if profiler is not None else NULL_PROFILER
         self.equilive = EquiliveManager(static_frame)
+        #: The manager's live-block set (a stable dict object).
+        self._live_blocks = self.equilive.live
+        self._free_many = heap.free_many
         self.recycle = RecycleList(
             heap, self.stats, by_type=self.policy.recycle_by_type,
             tracer=self.tracer,
@@ -126,20 +130,10 @@ class ContaminatedCollector:
     def on_alloc(self, handle: Handle, frame: Frame) -> EquiliveBlock:
         """A new object is associated with the currently active frame."""
         self.stats.objects_created += 1
-        # Inline of equilive.create(): this runs once per allocation.
-        equilive = self.equilive
-        ds = equilive.ds
-        parent = ds._parent
-        hid = handle.id
-        n = len(parent)
-        if hid >= n:
-            parent[n:] = range(n, hid + 1)
-            ds._rank[n:] = [0] * (hid + 1 - n)
-        else:
-            parent[hid] = hid
-            ds._rank[hid] = 0
+        # Inline of equilive.create(): a fresh handle is already a root.
         block = EquiliveBlock(handle, frame)
-        equilive._blocks[hid] = block
+        handle.block = block
+        self._live_blocks[block] = None
         frame.cg_blocks[block] = None
         if self._trace:
             self.tracer.emit(
@@ -162,12 +156,29 @@ class ContaminatedCollector:
             container.check_live()
         if value.freed:
             value.check_live()
-        equilive = self.equilive
-        bc = equilive.block_of(container)
-        bv = equilive.block_of(value)
+        # Inline of equilive.block_of() on both sides; a path longer than
+        # one hop takes the compressing walk.
+        self.equilive.finds += 2
+        root = container.uf
+        if root is None:
+            bc = container.block
+        elif root.uf is None:
+            bc = root.block
+        else:
+            bc = find_root(container).block
+        root = value.uf
+        if root is None:
+            bv = value.block
+        elif root.uf is None:
+            bv = root.block
+        else:
+            bv = find_root(value).block
+        if bc is None or bv is None:
+            raise untracked_error(container if bc is None else value)
         if bc is bv:
             return
-        if bv.is_static and not bc.is_static and self.policy.static_opt:
+        if (bv.static_cause is not None and bc.static_cause is None
+                and self.policy.static_opt):
             # Section 3.4: referencing an already-static object cannot make
             # it "more live"; skip contaminating the container.
             self.stats.static_opt_hits += 1
@@ -185,22 +196,43 @@ class ContaminatedCollector:
     def on_areturn(self, value: Handle, caller: Optional[Frame]) -> None:
         """``areturn``: the block must outlive the caller's frame."""
         self.stats.areturn_events += 1
-        value.check_live()
+        if value.freed:
+            value.check_live()
         if caller is None:
             # Returned off the bottom of a thread's stack (or to a native
             # caller with no frame): nothing anchors it, pin conservatively.
             self.pin_static(value, CAUSE_ROOTLESS)
             return
-        block = self.equilive.block_of(value)
-        if block.is_static:
+        # Inline of equilive.block_of().
+        self.equilive.finds += 1
+        root = value.uf
+        if root is None:
+            block = value.block
+        elif root.uf is None:
+            block = root.block
+        else:
+            block = find_root(value).block
+        if block is None:
+            raise untracked_error(value)
+        if block.static_cause is not None:
             return
-        if caller.is_older_than(block.frame):
+        frame = block.frame
+        if caller.thread_id != frame.thread_id:
+            # Returned into another thread's stack: no common frame order,
+            # so the block is shared (section 3.3), as in _merge.
+            self.stats.static_pins[CAUSE_SHARED] += 1
+            self._pin_block(block, CAUSE_SHARED)
+            return
+        if caller.depth < frame.depth:
             if self._trace:
                 self.tracer.emit(
                     "promote", handle=value.id,
-                    from_depth=block.frame.depth, to_depth=caller.depth,
+                    from_depth=frame.depth, to_depth=caller.depth,
                 )
-            self.equilive.move_to_frame(block, caller)
+            # Inline of equilive.move_to_frame().
+            del frame.cg_blocks[block]
+            block.frame = caller
+            caller.cg_blocks[block] = None
 
     def on_access(self, handle: Handle, thread_id: int) -> None:
         """Any heap access: detect sharing between threads (section 3.3)."""
@@ -225,50 +257,61 @@ class ContaminatedCollector:
         Returns the number of objects reclaimed.  With recycling enabled the
         dead objects are parked for reuse instead of freed (section 3.7).
         """
-        self.stats.frame_pops += 1
-        if not frame.cg_blocks:
+        stats = self.stats
+        stats.frame_pops += 1
+        blocks = frame.cg_blocks
+        if not blocks:
             if self._trace:
                 self.tracer.emit(
                     "frame_pop", frame=frame.frame_id, depth=frame.depth,
                     blocks=0, freed=0,
                 )
             return 0
-        freed = 0
+        # Every block on the list dies: take the whole list, and detach
+        # each block (one find apiece) by unlinking it from its root.
+        frame.cg_blocks = {}
+        self.equilive.finds += len(blocks)
+        live_blocks = self._live_blocks
         recycling = self.policy.recycling
-        equilive = self.equilive
-        stats = self.stats
+        probe = self.reachability_probe if self.policy.paranoid else None
         age_hist = stats.age_hist
+        size_hist = stats.block_size_hist
         depth = frame.depth
-        reclaim = self.heap.retire if recycling else self.heap.free
-        blocks = list(frame.cg_blocks)
+        freed = 0
         for block in blocks:
+            del live_blocks[block]
+            block.root.block = None
+            block.root = None
             live = [h for h in block.members if not h.freed]
-            equilive.detach(block)
-            equilive.forget_members(block)
             if not live:
                 continue
-            if self.policy.paranoid and self.reachability_probe is not None:
-                self.reachability_probe(live)
+            if probe is not None:
+                probe(live)
+            n = len(live)
             stats.blocks_collected += 1
-            stats.block_size_hist[len(live)] += 1
+            size_hist[n] += 1
             if self._trace:
                 self.tracer.emit(
                     "block_collect", frame=frame.frame_id, depth=depth,
-                    size=len(live), exact=not block.ever_unioned,
+                    size=n, exact=not block.ever_unioned,
                 )
             if not block.ever_unioned:
                 stats.exact_blocks += 1
-                stats.exact_objects += len(live)
+                stats.exact_objects += n
             for handle in live:
                 age_hist[handle.birth_depth - depth] += 1
-                reclaim(handle, "contaminated-gc")
-                freed += 1
             if recycling:
+                retire = self.heap.retire
+                for handle in live:
+                    retire(handle, "contaminated-gc")
                 self.recycle.park(live)
+            else:
+                self._free_many(live, "contaminated-gc")
+            freed += n
         stats.objects_popped += freed
         if self._trace:
             self.tracer.emit(
-                "frame_pop", frame=frame.frame_id, depth=frame.depth,
+                "frame_pop", frame=frame.frame_id, depth=depth,
                 blocks=len(blocks), freed=freed,
             )
         return freed
@@ -310,7 +353,6 @@ class ContaminatedCollector:
         for block in list(equilive.blocks()):
             if block.live_size() == 0:
                 equilive.detach(block)
-                equilive.forget_members(block)
         return self.recycle.flush()
 
     def block_census(self) -> Dict[str, int]:
@@ -411,7 +453,7 @@ class ContaminatedCollector:
     def pin_static(self, handle: Handle, cause: str) -> None:
         """Pin ``handle``'s whole block to frame 0 with the given cause."""
         block = self.equilive.block_of(handle)
-        if block.is_static:
+        if block.static_cause is not None:
             return
         self.stats.static_pins[cause] += 1
         self._pin_block(block, cause)
@@ -435,12 +477,12 @@ class ContaminatedCollector:
 
     def _merge(self, ba: EquiliveBlock, bb: EquiliveBlock) -> EquiliveBlock:
         """Merge two distinct blocks per the paper's rules (section 2.2)."""
-        if ba.is_static or bb.is_static:
+        if ba.static_cause is not None or bb.static_cause is not None:
             cause = ba.static_cause or bb.static_cause or CAUSE_MERGED
-            if not ba.is_static:
+            if ba.static_cause is None:
                 self._stamp_members(ba, cause)
                 ba.static_cause = cause
-            if not bb.is_static:
+            if bb.static_cause is None:
                 self._stamp_members(bb, cause)
                 bb.static_cause = cause
             target = self.static_frame
@@ -454,7 +496,8 @@ class ContaminatedCollector:
             bb.static_cause = CAUSE_SHARED
             target = self.static_frame
         else:
-            target = ba.frame if ba.frame.is_older_than(bb.frame) else bb.frame
+            # Inline of Frame.is_older_than: same thread, neither static.
+            target = ba.frame if ba.frame.depth < bb.frame.depth else bb.frame
         if self._trace:
             self.tracer.emit(
                 "union", a=ba.members[0].id, b=bb.members[0].id,

@@ -6,12 +6,20 @@ dependent on a single stack frame.  Blocks live on their dependent frame's
 ``cg_blocks`` list (section 3.1.2) and are merged by union-find when objects
 contaminate each other.
 
-Representation: :class:`EquiliveBlock` is the payload hanging off a
-union-find root.  ``members`` uses lazy deletion — an object reclaimed out of
-band (by the tracing collector) just stays in the list with its ``freed``
-flag set and is skipped when the block is collected — so merging is O(1)
-amortised and nothing is ever removed from the middle of a list, exactly like
-the linked-list splices the paper's implementation uses.
+Representation: the union-find forest lives on the objects it partitions,
+as in the thesis's extra handle words (section 3.1.1).  Every
+:class:`~repro.jvm.heap.Handle` carries a parent pointer ``uf`` (None on a
+root); a root's ``block`` points at its :class:`EquiliveBlock`, which
+carries the ``root`` and its ``rank``.  A handle whose root has no block is
+untracked: never registered, or its block died.  When a block dies (frame
+pop, merge loser, dismantle) the root<->block link is cleared, so a dead
+block and its handles hold no reference cycle and are freed by refcount.
+
+``members`` uses lazy deletion — an object reclaimed out of band (by the
+tracing collector) just stays in the list with its ``freed`` flag set and
+is skipped when the block is collected — so merging is O(1) amortised and
+nothing is ever removed from the middle of a list, exactly like the
+linked-list splices the paper's implementation uses.
 """
 
 from __future__ import annotations
@@ -21,13 +29,13 @@ from typing import Dict, Iterator, List, Optional
 from ..jvm.errors import IllegalStateError
 from ..jvm.frames import Frame, StaticFrame
 from ..jvm.heap import Handle
-from .unionfind import DisjointSets
 
 
 class EquiliveBlock:
     """One equilive set: members, dependent frame, and pin bookkeeping."""
 
-    __slots__ = ("members", "frame", "static_cause", "ever_unioned")
+    __slots__ = ("members", "frame", "static_cause", "ever_unioned", "root",
+                 "rank")
 
     def __init__(self, handle: Handle, frame: Frame) -> None:
         self.members: List[Handle] = [handle]
@@ -35,6 +43,10 @@ class EquiliveBlock:
         #: None while collectible; otherwise the cause that pinned it static.
         self.static_cause: Optional[str] = None
         self.ever_unioned = False
+        #: The union-find root this block hangs off (None once dead).
+        self.root: Optional[Handle] = handle
+        #: Union-by-rank rank of ``root``'s tree.
+        self.rank = 0
 
     @property
     def is_static(self) -> bool:
@@ -53,6 +65,30 @@ class EquiliveBlock:
         return f"<EquiliveBlock n={len(self.members)} on {where}>"
 
 
+def find_root(handle: Handle) -> Handle:
+    """Root of ``handle``'s union-find tree, compressing the path.
+
+    Counts nothing: callers charge ``EquiliveManager.finds``.
+    """
+    root = handle.uf
+    if root is None:
+        return handle
+    parent = root.uf
+    while parent is not None:
+        root = parent
+        parent = root.uf
+    node = handle
+    while node.uf is not root:
+        node.uf, node = root, node.uf
+    return root
+
+
+def untracked_error(handle: Handle) -> IllegalStateError:
+    return IllegalStateError(
+        f"object #{handle.id} has no equilive block (freed or untracked)"
+    )
+
+
 class EquiliveManager:
     """Union-find over handles plus block payloads and frame lists.
 
@@ -60,72 +96,49 @@ class EquiliveManager:
     and dismantle blocks, and it maintains the invariant that every block is
     on exactly one frame list (the static frame's list for pinned blocks).
     The :class:`~repro.core.collector.ContaminatedCollector` applies the
-    paper's rules on top.
+    paper's rules on top, inlining the hot halves of these methods; the
+    ``finds``/``unions`` work counters (the cost model's union-find charge)
+    are kept identical on both paths: one find per lookup (``block_of``,
+    ``has_block``, ``detach``, each invariant-check member) and four finds
+    plus one union per merge.
     """
 
     def __init__(self, static_frame: StaticFrame) -> None:
-        self.ds = DisjointSets()
         self.static_frame = static_frame
-        #: union-find root id -> block payload.
-        self._blocks: Dict[int, EquiliveBlock] = {}
+        #: Insertion-ordered set of live blocks.
+        self.live: Dict[EquiliveBlock, None] = {}
+        self.finds = 0
+        self.unions = 0
 
     # ------------------------------------------------------------------
     # Creation / lookup
     # ------------------------------------------------------------------
 
     def create(self, handle: Handle, frame: Frame) -> EquiliveBlock:
-        """Make a fresh singleton block for a newly allocated object."""
-        hid = handle.id
-        # Inline of ds.ensure_singleton(): one call saved per allocation.
-        ds = self.ds
-        parent = ds._parent
-        n = len(parent)
-        if hid >= n:
-            parent[n:] = range(n, hid + 1)
-            ds._rank[n:] = [0] * (hid + 1 - n)
-        else:
-            parent[hid] = hid
-            ds._rank[hid] = 0
+        """Make a fresh singleton block for ``handle`` (new or untracked)."""
         block = EquiliveBlock(handle, frame)
-        self._blocks[hid] = block
+        handle.uf = None
+        handle.block = block
+        self.live[block] = None
         frame.cg_blocks[block] = None
         return block
 
     def block_of(self, handle: Handle) -> EquiliveBlock:
-        ds = self.ds
-        hid = handle.id
-        # Inline of ``hid in ds``: this runs twice per store event.
-        if not 0 <= hid < len(ds._parent):
-            raise IllegalStateError(
-                f"object #{hid} has no equilive block (never tracked)"
-            )
-        # Inline of ds.find() (same counter discipline): saves a call on
-        # the path every contamination event takes twice.
-        ds.finds += 1
-        parent = ds._parent
-        root = hid
-        while parent[root] != root:
-            root = parent[root]
-        node = hid
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        try:
-            return self._blocks[root]
-        except KeyError:
-            raise IllegalStateError(
-                f"object #{hid} has no equilive block (freed or untracked)"
-            ) from None
+        self.finds += 1
+        block = find_root(handle).block
+        if block is None:
+            raise untracked_error(handle)
+        return block
 
     def has_block(self, handle: Handle) -> bool:
-        if handle.id not in self.ds:
-            return False
-        return self.ds.find(handle.id) in self._blocks
+        self.finds += 1
+        return find_root(handle).block is not None
 
     def blocks(self) -> Iterator[EquiliveBlock]:
-        return iter(self._blocks.values())
+        return iter(self.live)
 
     def block_count(self) -> int:
-        return len(self._blocks)
+        return len(self.live)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -136,49 +149,36 @@ class EquiliveManager:
         """Union two distinct blocks; the result depends on ``target_frame``.
 
         The caller computes ``target_frame`` per the paper's rules (older of
-        the two dependent frames, or the static frame).  Member lists are
+        the two dependent frames, or the static frame).  Union by rank
+        picks the surviving root (``a``'s on a tie); member lists are
         spliced smaller-into-larger.
         """
         if a is b:
             raise IllegalStateError("merge of a block with itself")
-        ds = self.ds
-        parent = ds._parent
-        # Inline of ds.find() on both representatives plus ds.union() — the
-        # counter discipline is preserved exactly: two finds here, and union
-        # itself charges two more (its root lookups, instant on roots).
-        ds.finds += 2
-        x = a.members[0].id
-        ra = x
-        while parent[ra] != ra:
-            ra = parent[ra]
-        while parent[x] != ra:
-            parent[x], x = ra, parent[x]
-        y = b.members[0].id
-        rb = y
-        while parent[rb] != rb:
-            rb = parent[rb]
-        while parent[y] != rb:
-            parent[y], y = rb, parent[y]
-        ds.finds += 2
-        ds.unions += 1
-        rank = ds._rank
-        root, loser_root = ra, rb
-        if rank[root] < rank[loser_root]:
-            root, loser_root = loser_root, root
-        parent[loser_root] = root
-        if rank[root] == rank[loser_root]:
-            rank[root] += 1
-        winner, loser = (a, b) if root == ra else (b, a)
-        # Splice the smaller member list into the larger one.
-        if len(winner.members) < len(loser.members):
-            winner.members, loser.members = loser.members, winner.members
-        winner.members.extend(loser.members)
+        # Both roots are on the blocks, so no walk is needed; the counters
+        # still charge the two finds plus union's two root lookups.
+        self.finds += 4
+        self.unions += 1
+        if a.rank < b.rank:
+            winner, loser = b, a
+        else:
+            winner, loser = a, b
+            if a.rank == b.rank:
+                a.rank += 1
+        loser_root = loser.root
+        loser_root.uf = winner.root
+        loser_root.block = None
+        loser.root = None
+        members, spliced = winner.members, loser.members
+        if len(members) < len(spliced):
+            winner.members, loser.members = spliced, members
+            members, spliced = spliced, members
+        members.extend(spliced)
         winner.ever_unioned = True
         # Remove both from their frame lists, reattach winner to the target.
         del winner.frame.cg_blocks[winner]
         del loser.frame.cg_blocks[loser]
-        del self._blocks[ra if root == rb else rb]
-        self._blocks[root] = winner
+        del self.live[loser]
         # Static causes survive a merge: if either side was pinned the merged
         # block is pinned, preferring the side that was already static.
         if winner.static_cause is None and loser.static_cause is not None:
@@ -203,25 +203,26 @@ class EquiliveManager:
     def detach(self, block: EquiliveBlock) -> None:
         """Remove a block entirely (its objects are being collected)."""
         del block.frame.cg_blocks[block]
-        root = self.ds.find(block.members[0].id)
-        del self._blocks[root]
+        self.finds += 1
+        del self.live[block]
+        block.root.block = None
+        block.root = None
 
     def forget_members(self, block: EquiliveBlock) -> None:
-        """Reset union-find state for all members of a detached block.
-
-        Safe because the whole set is dismantled at once (see
-        :meth:`repro.core.unionfind.DisjointSets.reset`).
-        """
+        """Make every member of a detached block an untracked singleton,
+        so live members can be re-registered (section 3.6 reset)."""
         for handle in block.members:
-            self.ds.reset(handle.id)
+            handle.uf = None
+            handle.block = None
 
     def dismantle_all(self) -> List[EquiliveBlock]:
         """Tear down every block (start of a section 3.6 reset pass)."""
-        blocks = list(self._blocks.values())
+        blocks = list(self.live)
         for block in blocks:
             del block.frame.cg_blocks[block]
             self.forget_members(block)
-        self._blocks.clear()
+            block.root = None
+        self.live.clear()
         return blocks
 
     # ------------------------------------------------------------------
@@ -237,15 +238,18 @@ class EquiliveManager:
                 seen[block] = frame
                 if block.frame is not frame:
                     raise IllegalStateError(f"{block!r} frame pointer stale")
-        registered = set(self._blocks.values())
-        if registered != set(seen):
+        if set(self.live) != set(seen):
             raise IllegalStateError(
                 "block registry and frame lists disagree: "
-                f"{len(registered)} registered vs {len(seen)} listed"
+                f"{len(self.live)} registered vs {len(seen)} listed"
             )
-        for root, block in self._blocks.items():
+        for block in self.live:
+            root = block.root
+            if root is None or root.uf is not None or root.block is not block:
+                raise IllegalStateError(f"{block!r} root link broken")
             for handle in block.live_members():
-                if self.ds.find(handle.id) != root:
+                self.finds += 1
+                if find_root(handle) is not root:
                     raise IllegalStateError(
                         f"member #{handle.id} not in its block's set"
                     )

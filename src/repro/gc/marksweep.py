@@ -95,19 +95,22 @@ class MarkSweepCollector:
     def _sweep(self) -> int:
         runtime = self.runtime
         cg = runtime.collector
-        reclaimed = 0
+        work = self.work
+        dead: List[Handle] = []
+        # live_handles() is a snapshot, so freeing after the walk frees the
+        # same objects in the same order as freeing inside it.
         for handle in runtime.heap.live_handles():
-            self.work.sweep_visits += 1
+            work.sweep_visits += 1
             if handle.mark:
                 handle.mark = False
                 continue
             if cg is not None:
                 cg.on_collected_by_msa(handle)
-            self.work.objects_collected += 1
-            self.work.words_collected += handle.size
-            reclaimed += 1
-            runtime.heap.free(handle, "mark-sweep")
-        return reclaimed
+            work.objects_collected += 1
+            work.words_collected += handle.size
+            dead.append(handle)
+        runtime.heap.free_many(dead, "mark-sweep")
+        return len(dead)
 
     # ------------------------------------------------------------------
     # Section 3.6: rebuild CG structures during marking

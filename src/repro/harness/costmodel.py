@@ -86,13 +86,13 @@ def cost_of(runtime: "Runtime") -> CostBreakdown:
     cg = 0.0
     collector = runtime.collector
     if collector is not None:
-        ds = collector.equilive.ds
+        equilive = collector.equilive
         stats = collector.stats
         # Handle-width scaling: the 16-word handle costs its full unit, the
         # squeezed 8-word handle half (section 3.5's stated benefit).
         handle_factor = runtime.heap.handle_words / 16.0
         cg = (
-            W_UF * (ds.finds + ds.unions)
+            W_UF * (equilive.finds + equilive.unions)
             + W_CG_EVENT
             * (stats.store_events + stats.areturn_events + stats.putstatic_events)
             + W_CG_POP * (stats.blocks_collected + stats.frame_pops)

@@ -7,8 +7,8 @@ method-table reference, so relocation only updates the handle (thesis section
 
 * :class:`Handle` — the per-object record.  Its Python attributes stand in
   for the extra words the CG implementation added to the 2-word JDK handle
-  (union-find parent/rank, equilive list links, frame back-pointer, owning
-  thread, unique id, birth depth — thesis section 3.1.1).  The configured
+  (union-find parent, equilive block link, owning thread, unique id, birth
+  depth — thesis section 3.1.1).  The configured
   *accounted* handle width (2, 8, or 16 words, section 3.5) is charged
   against a separate handle region sized as a multiple of the base split.
 
@@ -65,10 +65,11 @@ class Handle:
         "alloc_thread",
         "birth_frame_id",
         "birth_depth",
-        "shared",
         "pinned_cause",
         "mark",
         "pyvalue",
+        "uf",
+        "block",
     )
 
     def __init__(
@@ -86,22 +87,30 @@ class Handle:
         self.cls = cls
         self.addr = addr
         self.size = size
-        self.fields: Optional[Dict[str, object]] = None
-        self.elements: Optional[List[object]] = None
         if cls.is_array:
-            self.elements = [None] * (length or 0)
+            self.fields: Optional[Dict[str, object]] = None
+            self.elements: Optional[List[object]] = [None] * (length or 0)
         else:
-            self.fields = cls.field_template().copy()
+            # Inline of cls.field_template() for the warm-cache case.
+            template = cls._field_template
+            if template is None or len(template) != len(cls.fields):
+                template = cls.field_template()
+            self.fields = template.copy()
+            self.elements = None
         self.freed = False
         self.freed_by: Optional[str] = None
         self.alloc_thread = alloc_thread
         self.birth_frame_id = birth_frame_id
         self.birth_depth = birth_depth
-        self.shared = False
         self.pinned_cause = None  # static-pin cause stamp (see core.stats)
         self.mark = False
         # Interpreter-internal payload (used by java/lang/String).
         self.pyvalue: object = None
+        #: CG union-find parent (thesis section 3.1.1): None on a root and
+        #: on an untracked handle; see :mod:`repro.core.equilive`.
+        self.uf: Optional["Handle"] = None
+        #: The equilive block, set on union-find roots only.
+        self.block = None
 
     @property
     def is_array(self) -> bool:
@@ -186,9 +195,23 @@ class FreeList:
         start = self._next_fit
         if start > n - 1:
             start = n - 1
-        steps = 0
-        ranges = (range(start, n), range(0, start)) if start else (range(n),)
-        for indices in ranges:
+        # First probe: the block the last allocation split almost always
+        # still fits, so take that hit without building the scan ranges.
+        bsize = sizes[start]
+        if bsize >= size:
+            self.search_steps += 1
+            addr = addrs[start]
+            if bsize == size:
+                del addrs[start]
+                del sizes[start]
+            else:
+                addrs[start] = addr + size
+                sizes[start] = bsize - size
+            self._next_fit = start
+            self.allocs += 1
+            return addr
+        steps = 1
+        for indices in (range(start + 1, n), range(0, start)):
             for i in indices:
                 steps += 1
                 if sizes[i] >= size:
@@ -520,6 +543,32 @@ class Heap:
         """Release ``handle``'s storage and taint it (section 3.1.4)."""
         self.retire(handle, freed_by)
         self.free_list.free(handle.addr, handle.size)
+
+    def free_many(self, handles: List[Handle], freed_by: str) -> None:
+        """:meth:`free` each of ``handles``, in order, in one call.
+
+        Frees the same blocks in the same order as a :meth:`free` loop, so
+        the free map and every counter match; it only saves the per-object
+        method calls on the frame-pop and sweep paths.
+        """
+        table = self._handles
+        fl_free = self.free_list.free
+        words = 0
+        try:
+            for handle in handles:
+                if handle.freed:
+                    raise VMError(f"double free of {handle!r} by {freed_by}")
+                handle.freed = True
+                handle.freed_by = freed_by
+                size = handle.size
+                words += size
+                del table[handle.id]
+                handle.fields = None
+                handle.elements = None
+                fl_free(handle.addr, size)
+        finally:
+            self.live_words -= words
+            self.bytes_freed += words
 
     def retire(self, handle: Handle, freed_by: str) -> None:
         """Taint ``handle`` as dead but keep its storage parked.

@@ -247,6 +247,9 @@ class Runtime:
         self._write_barrier_fn = getattr(self.tracing, "write_barrier", None)
         self._gc_period = self.config.gc_period_ops
         self._heap_allocate = self.heap.allocate
+        self._classes = self.program.classes
+        self._on_alloc = (self.collector.on_alloc
+                          if self.collector is not None else None)
 
         #: Live-inspection heartbeat (:mod:`repro.obs.heartbeat`).  Armed
         #: via ``heartbeat_every``; cadence is pure op-counter arithmetic
@@ -358,7 +361,7 @@ class Runtime:
                  length: Optional[int] = None) -> Handle:
         """Allocate an instance; runs recycling/GC per the thesis's order."""
         if type(cls) is str:
-            cls = self.program.lookup(cls)
+            cls = self._classes.get(cls) or self.program.lookup(cls)
         if cls.is_array and length is None:
             raise VMError("array allocation requires a length")
         frames = thread.stack.frames
@@ -372,9 +375,9 @@ class Runtime:
             handle = self._allocate_slow(
                 cls, thread, birth_frame_id, birth_depth, length
             )
-        collector = self.collector
-        if collector is not None:
-            collector.on_alloc(handle, frame)
+        on_alloc = self._on_alloc
+        if on_alloc is not None:
+            on_alloc(handle, frame)
         note = self._note_allocation
         if note is not None:
             note(handle)
@@ -485,9 +488,14 @@ class Runtime:
 
     def store_field(self, container: Handle, name: str, value: object,
                     thread: JThread) -> None:
+        # The ``on_access`` calls are guarded by its no-action fast path
+        # (live and already pinned or same-thread), as generated code does.
         collector = self.collector
+        tid = thread.thread_id
         if collector is not None:
-            collector.on_access(container, thread.thread_id)
+            if container.freed or (container.pinned_cause is None
+                                   and container.alloc_thread != tid):
+                collector.on_access(container, tid)
         else:
             container.check_live()
         fields = container.fields
@@ -496,7 +504,9 @@ class Runtime:
         fields[name] = value
         if isinstance(value, Handle):
             if collector is not None:
-                collector.on_access(value, thread.thread_id)
+                if value.freed or (value.pinned_cause is None
+                                   and value.alloc_thread != tid):
+                    collector.on_access(value, tid)
                 collector.on_store(container, value)
             else:
                 value.check_live()
@@ -515,7 +525,14 @@ class Runtime:
     def store_element(self, array: Handle, index: int, value: object,
                       thread: JThread) -> None:
         """``aastore``: arrays contaminate like any other object (section 3.1.1)."""
-        self.access(array, thread)
+        collector = self.collector
+        tid = thread.thread_id
+        if collector is not None:
+            if array.freed or (array.pinned_cause is None
+                               and array.alloc_thread != tid):
+                collector.on_access(array, tid)
+        else:
+            array.check_live()
         elements = array.elements
         if elements is None:
             raise VMError(f"aastore into non-array {array.cls.name}")
@@ -524,10 +541,11 @@ class Runtime:
 
             raise ArrayIndexError(f"index {index} out of [0, {len(elements)})")
         elements[index] = value
-        collector = self.collector
         if isinstance(value, Handle):
             if collector is not None:
-                collector.on_access(value, thread.thread_id)
+                if value.freed or (value.pinned_cause is None
+                                   and value.alloc_thread != tid):
+                    collector.on_access(value, tid)
                 collector.on_store(array, value)
             else:
                 value.check_live()
@@ -566,7 +584,9 @@ class Runtime:
     def return_reference(self, value: Handle, thread: JThread) -> None:
         """``areturn``: promote the block to the caller's frame."""
         if self.collector is not None:
-            caller = thread.stack.caller
+            # Inline of thread.stack.caller.
+            frames = thread.stack.frames
+            caller = frames[-2] if len(frames) >= 2 else None
             self.collector.on_areturn(value, caller)
 
     def _write_barrier(self, container: Handle, value: Handle) -> None:

@@ -179,9 +179,9 @@ def collect_runtime_metrics(
                 reg.merge_histogram(f"cg.{fld.name}", value)
             else:
                 reg.set_counter(f"cg.{fld.name}", value)
-        ds = collector.equilive.ds
-        reg.set_counter("cg.uf_finds", ds.finds)
-        reg.set_counter("cg.uf_unions", ds.unions)
+        equilive = collector.equilive
+        reg.set_counter("cg.uf_finds", equilive.finds)
+        reg.set_counter("cg.uf_unions", equilive.unions)
         reg.set_gauge("cg.blocks_live", collector.equilive.block_count())
         reg.set_gauge("cg.recycle_parked_words", collector.recycle.parked_words)
         reg.set_gauge("cg.recycle_parked_objects", len(collector.recycle))

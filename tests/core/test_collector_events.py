@@ -243,6 +243,25 @@ class TestThreadSharing:
                 assert eq.block_of(b).is_static
         assert_clean(rt)
 
+    def test_cross_thread_areturn_pins_shared(self, rt, m):
+        """Thread 1 returns thread 0's object from a nested frame: the
+        block's frame and the caller are on different stacks with no
+        common frame order, so it is pinned shared (section 3.3), as a
+        cross-thread merge is, instead of failing the age comparison."""
+        with m.frame():
+            x = m.new("Node")
+            m.set_local(0, x)
+            other = m.spawn()
+            with other.frame():
+                with other.frame():
+                    other.areturn(x)
+                other.consume_from_caller(x)
+                assert rt.collector.equilive.block_of(x).is_static
+                assert x.pinned_cause == CAUSE_SHARED
+            assert rt.collector.stats.static_pins[CAUSE_SHARED] == 1
+            assert not x.freed
+        assert_clean(rt)
+
     def test_shared_pin_counted_once(self, rt, m):
         with m.frame():
             h = m.new("Node")
@@ -288,6 +307,20 @@ class TestFramePop:
                 m.root(h)
         assert all(h.freed for h in handles)
         assert rt.collector.stats.objects_popped == 4
+
+    def test_pop_unlinks_dead_blocks_from_their_roots(self, rt, m):
+        """A dead block and its root must not reference each other, so
+        the objects are freed by refcount rather than the cycle GC."""
+        with m.frame():
+            a, b = m.new("Node"), m.new("Node")
+            m.putfield(a, "next", b)
+            m.root(a)
+            block = rt.collector.equilive.block_of(a)
+            assert block.root.block is block
+        assert a.freed and b.freed
+        assert block.root is None
+        assert a.block is None and b.block is None
+        assert block not in set(rt.collector.equilive.blocks())
 
     def test_pop_skips_msa_freed_members(self, rt, m):
         with m.frame():

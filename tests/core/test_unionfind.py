@@ -1,175 +1,186 @@
-"""Unit tests for the union-find forest (thesis section 3.1.1)."""
+"""Unit tests for the union-find forest (thesis section 3.1.1).
+
+The forest lives on the handles it partitions: ``Handle.uf`` is the parent
+pointer (None on a root) and a root's ``Handle.block`` is its equilive
+block, which carries the ``root`` and its ``rank``.  It is driven through
+:class:`~repro.core.equilive.EquiliveManager`.
+"""
 
 import pytest
 
-from repro.core.unionfind import DisjointSets
+from repro.core.equilive import EquiliveManager, find_root
+from repro.jvm.errors import IllegalStateError
+from repro.jvm.frames import FrameIdSource, StaticFrame
+from repro.jvm.heap import Heap
+from repro.jvm.model import Program
+from repro.jvm.threads import JThread
+
+
+class Forest:
+    """One frame, a heap and a manager; elements are tracked handles."""
+
+    def __init__(self):
+        self.frame = JThread(0, "t", FrameIdSource()).stack.push(None)
+        self.heap = Heap(1 << 16)
+        self.cls = Program().define_class("N", fields=["x"])
+        self.manager = EquiliveManager(StaticFrame())
+
+    def make_set(self):
+        handle = self.heap.allocate(self.cls, 0, 1, 0)
+        self.manager.create(handle, self.frame)
+        return handle
+
+    def union(self, a, b):
+        """Merge the blocks of ``a`` and ``b``; return the surviving root."""
+        manager = self.manager
+        return manager.merge(
+            manager.block_of(a), manager.block_of(b), self.frame).root
+
+    def same_set(self, a, b):
+        return self.manager.block_of(a) is self.manager.block_of(b)
+
+
+def depth(handle):
+    hops = 0
+    while handle.uf is not None:
+        handle = handle.uf
+        hops += 1
+    return hops
 
 
 class TestMakeSet:
     def test_new_elements_are_their_own_roots(self):
-        ds = DisjointSets()
-        ids = [ds.make_set() for _ in range(5)]
-        assert ids == [0, 1, 2, 3, 4]
-        for x in ids:
-            assert ds.find(x) == x
-
-    def test_len_counts_elements(self):
-        ds = DisjointSets()
-        assert len(ds) == 0
-        ds.make_set()
-        ds.make_set()
-        assert len(ds) == 2
-
-    def test_contains(self):
-        ds = DisjointSets()
-        ds.make_set()
-        assert 0 in ds
-        assert 1 not in ds
-        assert -1 not in ds
-
-    def test_ensure_extends_universe(self):
-        ds = DisjointSets()
-        ds.ensure(7)
-        assert len(ds) == 8
-        assert all(ds.find(x) == x for x in range(8))
-
-    def test_ensure_is_idempotent(self):
-        ds = DisjointSets()
-        ds.ensure(3)
-        ds.union(0, 3)
-        ds.ensure(3)  # must not disturb existing sets
-        assert ds.same_set(0, 3)
+        forest = Forest()
+        xs = [forest.make_set() for _ in range(5)]
+        for x in xs:
+            assert x.uf is None
+            assert x.block.root is x
+            assert x.block.rank == 0
+            assert find_root(x) is x
 
 
 class TestUnionFind:
     def test_union_merges(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        root = ds.union(a, b)
+        forest = Forest()
+        a, b = forest.make_set(), forest.make_set()
+        root = forest.union(a, b)
         assert root in (a, b)
-        assert ds.same_set(a, b)
+        assert forest.same_set(a, b)
 
     def test_union_returns_existing_root_when_already_merged(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        r1 = ds.union(a, b)
-        r2 = ds.union(a, b)
-        assert r1 == r2
-        assert ds.unions == 1  # second call was a no-op
+        forest = Forest()
+        a, b = forest.make_set(), forest.make_set()
+        root = forest.union(a, b)
+        manager = forest.manager
+        assert find_root(a) is find_root(b) is root
+        # A block never merges with itself; the collector's same-block
+        # exit handles the repeat store, so no second union is counted.
+        with pytest.raises(IllegalStateError):
+            manager.merge(manager.block_of(a), manager.block_of(b),
+                          forest.frame)
+        assert manager.unions == 1
 
     def test_transitivity(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(10)]
+        forest = Forest()
+        xs = [forest.make_set() for _ in range(10)]
         for a, b in zip(xs, xs[1:]):
-            ds.union(a, b)
-        assert all(ds.same_set(xs[0], x) for x in xs)
+            forest.union(a, b)
+        assert all(forest.same_set(xs[0], x) for x in xs)
 
     def test_disjoint_sets_stay_disjoint(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(6)]
-        ds.union(xs[0], xs[1])
-        ds.union(xs[2], xs[3])
-        assert not ds.same_set(xs[0], xs[2])
-        assert not ds.same_set(xs[1], xs[4])
+        forest = Forest()
+        xs = [forest.make_set() for _ in range(6)]
+        forest.union(xs[0], xs[1])
+        forest.union(xs[2], xs[3])
+        assert not forest.same_set(xs[0], xs[2])
+        assert not forest.same_set(xs[1], xs[4])
 
     def test_union_by_rank_bounds_rank_logarithmically(self):
-        ds = DisjointSets()
-        n = 256
-        xs = [ds.make_set() for _ in range(n)]
+        forest = Forest()
+        xs = [forest.make_set() for _ in range(256)]
         # Balanced pairwise merging maximises rank growth.
         layer = xs
         while len(layer) > 1:
             nxt = []
             for i in range(0, len(layer) - 1, 2):
-                nxt.append(ds.union(layer[i], layer[i + 1]))
+                nxt.append(forest.union(layer[i], layer[i + 1]))
             if len(layer) % 2:
                 nxt.append(layer[-1])
             layer = nxt
-        assert ds.rank_of(xs[0]) <= 8  # log2(256)
+        assert forest.manager.block_of(xs[0]).rank <= 8  # log2(256)
 
     def test_path_compression_flattens(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(50)]
-        for a, b in zip(xs, xs[1:]):
-            ds.union(a, b)
-        root = ds.find(xs[0])
-        # After a find, the element points directly at the root.
-        assert ds._parent[xs[0]] == root
+        forest = Forest()
+        xs = [forest.make_set() for _ in range(64)]
+        layer = xs
+        while len(layer) > 1:
+            layer = [forest.union(layer[i], layer[i + 1])
+                     for i in range(0, len(layer), 2)]
+        deepest = max(xs, key=depth)
+        assert depth(deepest) > 1
+        path = []
+        node = deepest
+        while node.uf is not None:
+            path.append(node)
+            node = node.uf
+        root = forest.manager.block_of(deepest).root
+        # After a find, every node on the path points directly at the root.
+        assert all(node.uf is root for node in path)
 
     def test_roots_enumeration(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(4)]
-        ds.union(xs[0], xs[1])
-        roots = set(ds.roots())
+        forest = Forest()
+        xs = [forest.make_set() for _ in range(4)]
+        forest.union(xs[0], xs[1])
+        roots = {block.root for block in forest.manager.blocks()}
         assert len(roots) == 3
-        assert ds.find(xs[0]) in roots
+        assert find_root(xs[0]) in roots
 
 
 class TestReset:
     def test_reset_detaches_singleton(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        ds.union(a, b)
-        ds.reset(a)
-        ds.reset(b)
-        assert not ds.same_set(a, b)
-        assert ds.find(a) == a
-        assert ds.find(b) == b
+        forest = Forest()
+        a, b = forest.make_set(), forest.make_set()
+        forest.union(a, b)
+        manager = forest.manager
+        manager.dismantle_all()
+        assert not manager.has_block(a) and not manager.has_block(b)
+        assert find_root(a) is a
+        assert find_root(b) is b
+        na = manager.create(a, forest.frame)
+        nb = manager.create(b, forest.frame)
+        assert na is not nb
+        assert not forest.same_set(a, b)
 
     def test_reset_clears_rank(self):
-        ds = DisjointSets()
-        xs = [ds.make_set() for _ in range(4)]
-        ds.union(xs[0], xs[1])
-        ds.union(xs[0], xs[2])
-        root = ds.find(xs[0])
-        for x in xs[:3]:
-            ds.reset(x)
-        assert ds.rank_of(root) == 0
+        forest = Forest()
+        xs = [forest.make_set() for _ in range(4)]
+        forest.union(xs[0], xs[1])
+        root = forest.union(xs[0], xs[2])
+        assert root.block.rank == 1
+        forest.manager.dismantle_all()
+        assert root.block is None
+        assert forest.manager.create(root, forest.frame).rank == 0
 
 
 class TestCounters:
     def test_find_and_union_counters(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        before = ds.finds
-        ds.union(a, b)
-        assert ds.unions == 1
-        assert ds.finds == before + 2  # union does two finds
+        forest = Forest()
+        a, b = forest.make_set(), forest.make_set()
+        manager = forest.manager
+        ba, bb = manager.block_of(a), manager.block_of(b)
+        before = manager.finds
+        manager.merge(ba, bb, forest.frame)
+        assert manager.unions == 1
+        # Two finds for the representatives plus union's two root lookups.
+        assert manager.finds == before + 4
 
     def test_same_set_counts_finds(self):
-        ds = DisjointSets()
-        a, b = ds.make_set(), ds.make_set()
-        before = ds.finds
-        ds.same_set(a, b)
-        assert ds.finds == before + 2
-
-
-class TestEnsureGrowth:
-    def test_bulk_growth_matches_incremental(self):
-        bulk, incremental = DisjointSets(), DisjointSets()
-        bulk.ensure(999)
-        for x in range(1000):
-            incremental.ensure(x)
-        assert len(bulk) == len(incremental) == 1000
-        assert all(bulk.find(x) == incremental.find(x) for x in range(1000))
-
-    def test_iterative_deepening_growth(self):
-        # Regression: ensure() once re-walked [0, x] on every call, turning
-        # iterative deepening (grow by one, repeatedly) quadratic.  The
-        # slice-assignment version only ever touches the new suffix, so
-        # growing element-by-element must preserve unions made along the way.
-        ds = DisjointSets()
-        for x in range(0, 2000, 2):
-            ds.ensure(x + 1)
-            ds.union(x, x + 1)
-        assert ds.unions == 1000
-        for x in range(0, 2000, 2):
-            assert ds.same_set(x, x + 1)
-        roots = {ds.find(x) for x in range(2000)}
-        assert len(roots) == 1000
-
-    def test_ensure_never_shrinks(self):
-        ds = DisjointSets()
-        ds.ensure(10)
-        ds.ensure(3)
-        assert len(ds) == 11
+        forest = Forest()
+        a, b = forest.make_set(), forest.make_set()
+        manager = forest.manager
+        before = manager.finds
+        forest.same_set(a, b)
+        assert manager.finds == before + 2
+        manager.has_block(a)
+        manager.detach(manager.block_of(b))
+        assert manager.finds == before + 5

@@ -115,6 +115,17 @@ class TestFreeList:
         assert fl.allocate(20) is None  # no hole fits: scanned all
         assert fl.search_steps - before == len(fl.blocks())
 
+    def test_scan_past_the_hint_counts_every_probe(self):
+        fl = FreeList(100)
+        addrs = [fl.allocate(10) for _ in range(10)]
+        for a in (addrs[2], addrs[6]):
+            fl.free(a, 10)
+        fl.free(addrs[7], 10)  # holes: 10 words at 20, 20 words at 60
+        fl.reset_scan()
+        before = fl.search_steps
+        assert fl.allocate(20) == 60  # first probe misses, second fits
+        assert fl.search_steps - before == 2
+
 
 class TestHeapAllocation:
     def test_allocate_object_charges_header_plus_fields(self):
@@ -179,6 +190,34 @@ class TestHeapFreeAndAccounting:
         heap.free(h, "test")
         with pytest.raises(VMError):
             heap.free(h, "test")
+
+    def test_free_many_matches_a_free_loop(self):
+        one, prog = make_heap()
+        many = Heap(1024)
+        node = prog.define_class("N", fields=["x"])
+        handles = {}
+        for heap in (one, many):
+            handles[heap] = [heap.allocate(node, 0, 1, 0) for _ in range(6)]
+        order = [4, 0, 5, 2]
+        for h in (handles[one][i] for i in order):
+            one.free(h, "test")
+        many.free_many([handles[many][i] for i in order], "test")
+        assert many.free_list.blocks() == one.free_list.blocks()
+        assert many.free_list.frees == one.free_list.frees == 4
+        assert (many.live_words, many.bytes_freed, many.live_count()) == (
+            one.live_words, one.bytes_freed, one.live_count())
+        assert all(h.freed and h.freed_by == "test" and h.fields is None
+                   for h in (handles[many][i] for i in order))
+        many.check_accounting()
+
+    def test_free_many_rejects_double_free(self):
+        heap, prog = make_heap()
+        node = prog.define_class("N", fields=["x"])
+        a, b = heap.allocate(node, 0, 1, 0), heap.allocate(node, 0, 1, 0)
+        heap.free(b, "test")
+        with pytest.raises(VMError):
+            heap.free_many([a, b], "test")
+        heap.check_accounting()
 
     def test_freed_handle_access_raises(self):
         heap, prog = make_heap()

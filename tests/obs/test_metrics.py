@@ -84,7 +84,7 @@ class TestRuntimeFolding:
         assert reg.counters["cg.objects_popped"] == stats.objects_popped
         assert reg.counters["cg.contaminations"] == stats.contaminations
         assert reg.counters["cg.frame_pops"] == stats.frame_pops
-        assert reg.counters["cg.uf_finds"] == rt.collector.equilive.ds.finds
+        assert reg.counters["cg.uf_finds"] == rt.collector.equilive.finds
 
     def test_counter_histograms_folded(self):
         rt = self.run_small()

@@ -1,9 +1,19 @@
-"""Property tests: union-find vs a naive set-partition model."""
+"""Property tests: the handle-resident union-find vs a naive partition model.
+
+Elements are handles registered with ``EquiliveManager.create``; a union is
+``merge`` of their blocks (looked up with ``block_of``) when they differ.
+"""
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.unionfind import DisjointSets
+from repro.core.equilive import EquiliveManager, find_root
+from repro.jvm.frames import FrameIdSource, StaticFrame
+from repro.jvm.heap import Heap
+from repro.jvm.model import Program
+from repro.jvm.threads import JThread
 
 
 @st.composite
@@ -38,65 +48,89 @@ class NaivePartition:
         return any(a in s and b in s for s in self.sets)
 
 
+class Forest:
+    """``n`` handles, each created as a singleton block on one frame."""
+
+    def __init__(self, n):
+        self.frame = JThread(0, "t", FrameIdSource()).stack.push(None)
+        heap = Heap(1 << 16)
+        cls = Program().define_class("N", fields=["x"])
+        self.manager = EquiliveManager(StaticFrame())
+        self.handles = [heap.allocate(cls, 0, 1, 0) for _ in range(n)]
+        for handle in self.handles:
+            self.manager.create(handle, self.frame)
+
+    def union(self, a, b):
+        manager = self.manager
+        ba = manager.block_of(self.handles[a])
+        bb = manager.block_of(self.handles[b])
+        if ba is not bb:
+            manager.merge(ba, bb, self.frame)
+
+    def same_set(self, a, b):
+        manager = self.manager
+        return (manager.block_of(self.handles[a])
+                is manager.block_of(self.handles[b]))
+
+
 @given(union_sequences())
 @settings(max_examples=200)
 def test_matches_naive_model(seq):
     n, ops = seq
-    ds = DisjointSets()
-    for _ in range(n):
-        ds.make_set()
+    forest = Forest(n)
     model = NaivePartition(n)
     for a, b in ops:
-        ds.union(a, b)
+        forest.union(a, b)
         model.union(a, b)
     for a in range(n):
         for b in range(a, n):
-            assert ds.same_set(a, b) == model.same(a, b)
+            assert forest.same_set(a, b) == model.same(a, b)
 
 
 @given(union_sequences())
 @settings(max_examples=100)
 def test_every_element_in_exactly_one_set(seq):
     n, ops = seq
-    ds = DisjointSets()
-    for _ in range(n):
-        ds.make_set()
+    forest = Forest(n)
     for a, b in ops:
-        ds.union(a, b)
-    roots = {ds.find(x) for x in range(n)}
-    assert roots <= set(range(n))
-    # Find is idempotent and stable.
-    for x in range(n):
-        r = ds.find(x)
-        assert ds.find(r) == r
-        assert ds.find(x) == r
+        forest.union(a, b)
+    manager = forest.manager
+    blocks = list(manager.blocks())
+    owner = {}
+    for block in blocks:
+        for handle in block.members:
+            assert handle.id not in owner
+            owner[handle.id] = block
+    assert sorted(owner) == sorted(h.id for h in forest.handles)
+    for handle in forest.handles:
+        assert manager.block_of(handle) is owner[handle.id]
+        # Find is idempotent and stable.
+        root = find_root(handle)
+        assert root.block is owner[handle.id]
+        assert find_root(root) is root
+        assert find_root(handle) is root
 
 
 @given(union_sequences())
 @settings(max_examples=100)
 def test_rank_bounded_by_log(seq):
-    import math
-
     n, ops = seq
-    ds = DisjointSets()
-    for _ in range(n):
-        ds.make_set()
+    forest = Forest(n)
     for a, b in ops:
-        ds.union(a, b)
-    bound = max(1, math.ceil(math.log2(n + 1)))
-    for x in range(n):
-        assert ds.rank_of(x) <= bound
+        forest.union(a, b)
+    bound = math.log2(n)
+    for block in forest.manager.blocks():
+        # Union by rank: a rank-r tree holds at least 2**r handles.
+        assert 2 ** block.rank <= len(block.members)
+        assert block.rank <= bound
 
 
 @given(union_sequences())
 @settings(max_examples=100)
 def test_union_is_commutative_in_effect(seq):
     n, ops = seq
-    forward = DisjointSets()
-    swapped = DisjointSets()
-    for _ in range(n):
-        forward.make_set()
-        swapped.make_set()
+    forward = Forest(n)
+    swapped = Forest(n)
     for a, b in ops:
         forward.union(a, b)
         swapped.union(b, a)

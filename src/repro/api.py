@@ -23,14 +23,12 @@ A *system* is one of the named configurations the paper compares:
                 (class, size) for O(1) same-type reuse
 ``cg-reset``    CG + the section 3.6 reset pass, MSA forced periodically
 ``cg-segfit``   CG + mark-sweep on the segregated-fit free list
-``cg-table``    CG + mark-sweep with the table dispatch tier pinned
-                (``dispatch="table"``) — the dispatch-ladder baseline
-``cg-closure``  CG + mark-sweep with the closure dispatch tier pinned
-                (``dispatch="closure"``) — the ladder's middle rung and
-                the compiled tier's deopt target
-``cg-compiled`` CG + mark-sweep with the compiled dispatch tier pinned
-                (``dispatch="compiled"``: everything codegenned up
-                front) — the tiered default's warmup-cost baseline
+``cg-table``    CG + mark-sweep with the table dispatch oracle pinned
+                (``dispatch="table"``) — the dispatch speedup's baseline
+``cg-compiled`` CG + mark-sweep with tiered dispatch promoting at the
+                first visit (``promote_after=1``: every method
+                codegenned eagerly on cold caches) — the tiered
+                default's warmup-cost baseline
 ``jdk``         the unmodified base system: mark-sweep only
 ``cg-nogc``     CG with the tracing collector disabled and ample storage
 ``jdk-nogc``    the base system idem (the other half of that comparison)
@@ -64,7 +62,7 @@ RESET_PERIOD_OPS = 5000
 
 SYSTEMS = (
     "cg", "cg-noopt", "cg-recycle", "cg-recycle-typed", "cg-reset",
-    "cg-segfit", "cg-table", "cg-closure", "cg-compiled", "jdk", "cg-nogc",
+    "cg-segfit", "cg-table", "cg-compiled", "jdk", "cg-nogc",
     "cg-noopt-nogc", "jdk-nogc", "gen", "train",
 )
 
@@ -100,14 +98,10 @@ def config_for(system: str, heap_words: int,
         return RuntimeConfig(heap_words=heap_words, cg=CGPolicy.paper_default(),
                              tracing="marksweep", gc_period_ops=gc_period_ops,
                              dispatch="table")
-    if system == "cg-closure":
-        return RuntimeConfig(heap_words=heap_words, cg=CGPolicy.paper_default(),
-                             tracing="marksweep", gc_period_ops=gc_period_ops,
-                             dispatch="closure")
     if system == "cg-compiled":
         return RuntimeConfig(heap_words=heap_words, cg=CGPolicy.paper_default(),
                              tracing="marksweep", gc_period_ops=gc_period_ops,
-                             dispatch="compiled")
+                             dispatch="tiered", promote_after=1)
     if system == "jdk":
         return RuntimeConfig(heap_words=heap_words, cg=CGPolicy.disabled(),
                              tracing="marksweep", gc_period_ops=gc_period_ops)

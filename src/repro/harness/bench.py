@@ -22,15 +22,18 @@ plus the geomean, failing only on a >25% geomean wall regression.  Unlike
 ``--check``, counter drift is reported but does not fail — grids and
 defaults legitimately change between versions (BENCH_4 added the
 ``cg-table`` column and the ``bc-*`` interpreter workloads; BENCH_5 added
-``cg-closure``, ``bc-loop``, and the ``compile_ms`` column; BENCH_6 was
-the SLA-only server grid; BENCH_7 combines both grids, adds the
+a closure-pin column, ``bc-loop``, and the ``compile_ms`` column; BENCH_6
+was the SLA-only server grid; BENCH_7 combines both grids, adds the
 ``cg-compiled`` pin, flips ``cg`` to the tiered default, and splits
-``compile_ms`` into cold/steady).
+``compile_ms`` into cold/steady).  BENCH_5 through BENCH_7 were measured
+with the closure and compiled dispatch modes still pinnable; those modes
+are gone, ``cg-compiled`` is now tiered with ``promote_after=1``, and a
+baseline's ``cg-closure`` cells show up as "not in current run" notes.
 
-The grid carries the full dispatch ladder — ``cg-table`` (table pin),
-``cg-closure`` (closure pin), and ``cg-compiled`` (everything codegenned
-up front) next to ``cg`` (tiered, the default) — so every report records
-the per-tier speedups on the interpreter-driven ``bc-*`` workloads.  The
+The grid carries the dispatch comparison — ``cg-table`` (the table
+oracle) and ``cg-compiled`` (tiered, every method codegenned at its
+first visit) next to ``cg`` (tiered, the default) — so every report
+records the speedup on the interpreter-driven ``bc-*`` workloads.  The
 headline number is the cg-vs-table geomean, which ``--check``
 additionally gates with :data:`DISPATCH_FLOOR`: the baseline snapshot
 must record at least the floor, and the live measurement must stay
@@ -59,10 +62,8 @@ from ..api import run as run_workload
 
 #: Grid defaults: the timing-relevant systems (CG under the default
 #: tiered dispatch, the unmodified base system, the segregated-fit
-#: allocator ablation, and the table/closure/compiled dispatch pins that
-#: form the other rungs of the dispatch ladder).
-DEFAULT_SYSTEMS = ("cg", "jdk", "cg-segfit", "cg-table", "cg-closure",
-                   "cg-compiled")
+#: allocator ablation, the table oracle, and tiered with eager codegen).
+DEFAULT_SYSTEMS = ("cg", "jdk", "cg-segfit", "cg-table", "cg-compiled")
 DEFAULT_WORKLOADS = (
     "compress", "jess", "raytrace", "db", "javac", "mpegaudio", "jack",
     "bc-arith", "bc-list", "bc-calls", "bc-loop",
@@ -72,8 +73,8 @@ SMALL_WORKLOADS = ("jess", "raytrace", "db", "bc-list")
 
 #: The ``--sla`` grid: the server workload's tail-latency comparison —
 #: CG (tiered dispatch, the default) vs the unmodified base system, the
-#: segregated-fit allocator ablation, and the compiled-dispatch pin
-#: (the tiered-vs-compiled warmup comparison: identical steady state,
+#: segregated-fit allocator ablation, and eager codegen (the
+#: tiered-vs-compiled warmup comparison: identical steady state,
 #: very different first-request latency), under every arrival pattern.
 SLA_SYSTEMS = ("cg", "jdk", "cg-segfit", "cg-compiled")
 SLA_PATTERNS = ("steady", "bursty", "diurnal")
@@ -83,15 +84,15 @@ BENCH_VERSION = 7
 
 #: Minimum cg-vs-table ops/sec geomean over the ``bc-*`` workloads that a
 #: baseline snapshot must record for ``--check`` to pass.  ``cg`` runs
-#: the tiered default, whose steady state is the compiled tier, so the
+#: the tiered default, whose steady state is generated code, so the
 #: floor gates the same codegen the compiled-default generations did.
 #: Repeated min-over-repeats measurements of the full ladder land in a
 #: 2.7-3.0x band depending on the machine day (the BENCH_5 snapshot
 #: caught 3.04x, BENCH_7 2.84x; the per-workload ratios barely move —
 #: the spread is which end of the noise band each cell's minimum
 #: samples), so the floor sits just below the band: low enough that an
-#: honest re-measurement always clears it, far above the ~1.5x closure
-#: geomean a broken promotion path would record.
+#: honest re-measurement always clears it, far above the ~1.5x
+#: closures-only geomean a broken promotion path would record.
 DISPATCH_FLOOR = 2.5
 
 
@@ -160,8 +161,8 @@ def _harvest_compile_ms(workload: str, size: int, system: str,
     The sum of the ``compile`` (closure compilation) and ``codegen``
     (Python source generation + ``compile``/``exec``) profiler phases
     from one *extra* profiled run — the timed repeats stay unprofiled so
-    the phase timers never tax the wall clocks being reported.  Tiers
-    that never compile (chain/table) report 0.0.
+    the phase timers never tax the wall clocks being reported.  The
+    table mode never compiles and reports 0.0.
 
     ``cold=False`` (the ``compile_ms`` column): the cross-runtime codegen
     cache is warm by harvest time (the timed repeats populated it), so
@@ -170,7 +171,7 @@ def _harvest_compile_ms(workload: str, size: int, system: str,
     ``compile_ms_first_iter`` column): the in-memory cache is cleared
     first, so the measurement is what the first run of a fresh process
     pays — full source generation + ``compile`` for every method the
-    tier chooses to codegen.  The cold/warm split is exactly where the
+    system chooses to codegen.  The cold/warm split is exactly where the
     tiered default wins: it codegens only the methods that got hot.
     """
     if cold:
@@ -347,10 +348,10 @@ def run_sla(
 WARMUP_ITERS = 6
 WARMUP_PEAK_BAND = 1.10
 
-#: The ``--warmup-curve`` default systems: the dispatch ladder's
-#: compiling rungs (cold-start cost is what the curve measures; the
-#: never-compiling table tier is the flat reference).
-WARMUP_SYSTEMS = ("cg", "cg-compiled", "cg-closure", "cg-table")
+#: The ``--warmup-curve`` default systems: tiered at the default
+#: threshold and with eager codegen (cold-start cost is what the curve
+#: measures; the never-compiling table oracle is the flat reference).
+WARMUP_SYSTEMS = ("cg", "cg-compiled", "cg-table")
 
 
 def run_warmup_curve(
@@ -626,11 +627,10 @@ def trend(current: Dict, baseline: Dict,
 
 
 def dispatch_speedup(report: Dict) -> Tuple[Optional[float], List[str]]:
-    """Dispatch-ladder ops/sec ratios from a report's own cells.
+    """Dispatch ops/sec ratios from a report's own cells.
 
     Pairs each ``cg`` cell (tiered dispatch, the default — steady state
-    is the compiled tier) with its ``cg-table`` twin — and, when
-    present, the ``cg-closure`` middle rung — and reports the per-tier
+    is generated code) with its ``cg-table`` twin and reports the
     ratios; the headline geomean (the return value) is cg/table over the
     interpreter-driven ``bc-*`` workloads only — the Mutator-driven
     workloads never enter the dispatch loop, so their ratio is pure
@@ -639,7 +639,6 @@ def dispatch_speedup(report: Dict) -> Tuple[Optional[float], List[str]]:
     lines: List[str] = []
     keyed = _keyed(report)
     bc_ratios = []
-    closure_ratios = []
     for (workload, size, system, params) in sorted(keyed):
         if system != "cg":
             continue
@@ -652,19 +651,13 @@ def dispatch_speedup(report: Dict) -> Tuple[Optional[float], List[str]]:
         if not compiled or not table:
             continue
         ratio = compiled / table
-        mid = keyed.get((workload, size, "cg-closure", params))
-        closure = (mid.get("ops_per_sec") or 0.0) if mid else 0.0
-        rung = f" (closure {closure:,.0f} = {closure / table:.2f}x)" \
-            if closure else ""
         marker = ""
         if workload.startswith("bc-"):
             bc_ratios.append(ratio)
-            if closure:
-                closure_ratios.append(closure / table)
             marker = "  [dispatch-bound]"
         lines.append(
             f"{workload}: cg {compiled:,.0f} ops/s vs "
-            f"table {table:,.0f} ops/s = {ratio:.2f}x{rung}{marker}"
+            f"table {table:,.0f} ops/s = {ratio:.2f}x{marker}"
         )
     geomean = None
     if bc_ratios:
@@ -673,14 +666,6 @@ def dispatch_speedup(report: Dict) -> Tuple[Optional[float], List[str]]:
         )
         lines.append(
             f"cg/table geomean over bc-* workloads: {geomean:.2f}x"
-        )
-    if closure_ratios:
-        closure_geomean = math.exp(
-            sum(math.log(r) for r in closure_ratios) / len(closure_ratios)
-        )
-        lines.append(
-            f"closure/table geomean over bc-* workloads: "
-            f"{closure_geomean:.2f}x"
         )
     return geomean, lines
 

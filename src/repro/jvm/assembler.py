@@ -223,53 +223,8 @@ def _assemble_method(program: Program, pm: _PendingMethod) -> None:
     nlocals = pm.nlocals if pm.nlocals is not None else max_local + 1
     method = JMethod(method_name, pm.nargs, nlocals=nlocals, code=code)
     method.labels = labels
-    method.fusible = peephole_fusible(code)
     method.block_starts = block_leaders(code)
     cls.add_method(method)
-
-
-#: Opcodes that fuse as the second half of a ``load``-led superinstruction.
-_FUSIBLE_SECOND_AFTER_LOAD = frozenset({
-    bc.LOAD, bc.GETFIELD,
-    bc.IF_ICMPEQ, bc.IF_ICMPNE, bc.IF_ICMPLT,
-    bc.IF_ICMPLE, bc.IF_ICMPGT, bc.IF_ICMPGE,
-})
-
-#: Opcodes that fuse as the second half of a ``const``-led superinstruction.
-_FUSIBLE_SECOND_AFTER_CONST = frozenset({
-    bc.ADD,
-    bc.IF_ICMPEQ, bc.IF_ICMPNE, bc.IF_ICMPLT,
-    bc.IF_ICMPLE, bc.IF_ICMPGT, bc.IF_ICMPGE,
-})
-
-
-def peephole_fusible(code: List[Instruction]) -> Tuple[int, ...]:
-    """Mark superinstruction pair starts for the closure dispatch tier.
-
-    A static peephole pass over the assembled code: returns the pcs where a
-    fusible pair begins (``load+load``, ``load+getfield``, ``const+add``,
-    and ``load``/``const`` feeding an ``if_icmp*`` compare-and-branch —
-    the hot pairs the profiler surfaces).  Pairs never overlap: a matched
-    pair consumes both instructions before scanning resumes.
-
-    Branch targets need no special casing — fusion in the closure compiler
-    keeps pc numbering intact and leaves the pair's second slot holding its
-    plain closure, so a branch into the middle of a pair still lands on
-    executable code.
-    """
-    pairs: List[int] = []
-    i = 0
-    last = len(code) - 1
-    while i < last:
-        op1 = code[i][0]
-        op2 = code[i + 1][0]
-        if ((op1 == bc.LOAD and op2 in _FUSIBLE_SECOND_AFTER_LOAD)
-                or (op1 == bc.CONST and op2 in _FUSIBLE_SECOND_AFTER_CONST)):
-            pairs.append(i)
-            i += 2
-        else:
-            i += 1
-    return tuple(pairs)
 
 
 #: Opcodes after which control cannot simply fall through to the next pc
@@ -282,13 +237,13 @@ _BLOCK_ENDERS_FALLTHROUGH = frozenset({
 
 
 def block_leaders(code: List[Instruction]) -> Tuple[int, ...]:
-    """Basic-block leader pcs, for the compiled dispatch tier's codegen.
+    """Basic-block leader pcs, for the tiered mode's codegen.
 
     Classic leader analysis over the assembled (label-resolved) code: pc 0,
     every branch target, the fallthrough pc after every branch, and the pc
-    after every invoke/spawn/return (the compiled tier exits its generated
-    function on frame changes and deopts, so the resumption pc must be an
-    entry point).  ``len(code)`` — the implicit-return sentinel — is always
+    after every invoke/spawn/return (generated code exits its function on
+    frame changes and deopts, so the resumption pc must be an entry
+    point).  ``len(code)`` — the implicit-return sentinel — is always
     a leader.  Targets outside ``[0, len(code)]`` (possible in hand-built
     code with wild branches) are dropped; the interpreter clamps such pcs
     to the sentinel at run time.

@@ -8,11 +8,13 @@ bytecode workloads and tests) can be written.
 
 Opcodes are plain module-level integers — the interpreter dispatches through
 a list indexed by opcode, and tuples ``(op, a, b)`` are the instruction
-representation (see :mod:`repro.jvm.model`).  The closure tier
-(:mod:`repro.jvm.closurecode`) compiles these tuples once per method into
-pre-bound Python closures, so an opcode added here needs a handler in all
-five dispatch tiers — the parity corpus in ``tests/jvm/test_dispatch.py``
-fails if any tier is forgotten.
+representation (see :mod:`repro.jvm.model`).  Tiered dispatch compiles
+these tuples once per method into pre-bound Python closures
+(:mod:`repro.jvm.closurecode`) and, for hot methods, into generated
+Python source (:mod:`repro.jvm.compiledcode`), so an opcode added here
+needs a table handler, a closure factory and a codegen rule — the parity
+corpus in ``tests/jvm/test_dispatch.py`` fails if any of them is
+forgotten.
 """
 
 from __future__ import annotations

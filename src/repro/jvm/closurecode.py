@@ -1,59 +1,44 @@
-"""Closure-compiled dispatch: the third interpreter tier.
+"""Closure-compiled dispatch: the cold half of the tiered mode.
 
-``RuntimeConfig(dispatch="closure")`` — the default tier — compiles each
-method's bytecode once per runtime, at its first invocation, into a flat
-list of zero-decode Python closures: one slot per pc plus a sentinel slot
-for the implicit end-of-code return.  Every operand, constant, and runtime
-service is pre-bound into closure cells, so the driving loop in
-:meth:`~repro.jvm.interpreter.Interpreter._step_n_closure` reduces to::
+``RuntimeConfig(dispatch="tiered")`` compiles each method's bytecode once
+per runtime, at its first invocation, into a flat list of zero-decode
+Python closures: one slot per pc plus a sentinel slot for the implicit
+end-of-code return.  Every operand, constant, and runtime service is
+pre-bound into closure cells, so the cold path of
+:meth:`~repro.jvm.interpreter.Interpreter._step_n_tiered` reduces to::
 
     pc = ccode[pc](frame, thread)
 
 with no opcode indexing, no ``(op, a, b)`` unpacking, and no per-step
-attribute traffic.  A closure returns the next pc, or a negative sentinel:
+attribute traffic.  The same slots are the deopt target of the generated
+code (:mod:`repro.jvm.compiledcode`) once a method is promoted.  A closure
+returns the next pc, or a negative sentinel:
 
 * ``-1`` — the frame changed (invoke/return): the driving loop re-reads the
   top frame and resumes at its saved ``pc``.
 * ``-2`` — the sentinel slot's implicit return fired: like ``-1``, but the
-  driving loop must not *tick* this instruction — the other two tiers tick
+  driving loop must not *tick* this instruction — the table loop ticks
   only decoded instructions, never the implicit end-of-code return.
 
-Two further techniques ride on top, both semantics-preserving (the
-five-way opcode-parity suite in ``tests/jvm/test_dispatch.py`` is the
-oracle):
-
-**Quickening.**  ``getstatic``/``putstatic``/``invokestatic``/``new``
-resolve their symbolic operand on *first execution*, then overwrite their
-own slot in the (mutable) compiled list with a specialized closure holding
-the resolved class/method — replacing the table tier's per-interpreter
+**Quickening** rides on top, semantics-preserving (the table-vs-tiered
+opcode-parity suite in ``tests/jvm/test_dispatch.py`` is the oracle).
+``getstatic``/``putstatic``/``invokestatic``/``new`` resolve their
+symbolic operand on *first execution*, then overwrite their own slot in
+the (mutable) compiled list with a specialized closure holding the
+resolved class/method — replacing the table loop's per-interpreter
 ``_static_refs`` resolution cache with a zero-lookup fast path.
 ``invokevirtual`` quickens to a monomorphic inline cache keyed on the
 receiver's class.  First-execution timing is what makes this sound: an
-unreachable bad reference never raises, exactly as in the other tiers, and
+unreachable bad reference never raises, exactly as in the table loop, and
 a rewrite never changes which runtime services run or in what order — it
 only skips the redundant name-to-object resolution that precedes them.
 (Like real JVM quickening, this assumes method tables are frozen once a
 call site has executed; classes here are append-only at load time.)
-
-**Superinstructions.**  The assembler's peephole pass
-(:func:`repro.jvm.assembler.peephole_fusible`) marks non-overlapping hot
-pairs — ``load+load``, ``load+getfield``, ``const+add``, and a ``load`` or
-``const`` feeding an ``if_icmp*`` — and the compiler installs one fused
-closure at the pair's first pc.  pc numbering is untouched: the second
-slot keeps its plain closure, so branches into the middle of a pair still
-land on executable code.  A fused slot carries *weight 2* in the compiled
-method's ``weights`` tuple; the driving loop charges both instructions
-against its budget and, when only one instruction of budget remains, runs
-the pair's unfused first closure from the ``plain`` list instead.  A fused
-pair therefore never straddles a scheduler quantum or a fault-plan budget
-slice — round-robin interleavings, ``runtime.ops``, and injected-trap
-indices stay bit-identical with the table tier.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from . import bytecode as bc
 from .errors import NullPointerError, VerifyError
@@ -80,14 +65,14 @@ def _bind_interpreter_symbols() -> None:
 class QuickeningState:
     """Shared per-(runtime, method) quickening cells.
 
-    Both the closure tier and the compiled tier (:mod:`repro.jvm.
+    Both the closure slots and the generated code (:mod:`repro.jvm.
     compiledcode`) speculate on the same resolution results: resolved
     statics/classes/methods for ``getstatic``/``putstatic``/``new``/
     ``invokestatic``, and the monomorphic inline cache for
     ``invokevirtual``.  Keeping the cells *outside* the closures (one
-    one-element list per call site) lets either tier's first execution
+    one-element list per call site) lets either half's first execution
     feed the other: the closure generic slot resolves and fills the cell,
-    the compiled tier's generated code reads the cell behind a guard and
+    the generated code reads the cell behind a guard and
     deopts back to the closure slot while it is still empty.  Resolution
     is not counter-observable (it precedes the same runtime-service calls
     in the same order), so sharing never perturbs parity.
@@ -121,44 +106,18 @@ class CompiledMethod(NamedTuple):
     #: pc -> closure; ``len(code) + 1`` slots (the last is the implicit
     #: return sentinel).  A mutable list: quickening rewrites slots in place.
     ccode: List[Callable]
-    #: pc -> instructions the slot retires (2 for a fused pair, else 1).
-    #: None when no slot is fused — the driving loop takes its fast path.
-    weights: Optional[Tuple[int, ...]]
-    #: The unfused closure list (identical to ``ccode`` pre-fusion); the
-    #: driving loop falls back to ``plain[pc]`` when a fused pair would
-    #: overrun the remaining budget.  None when ``weights`` is None.
-    plain: Optional[List[Callable]]
-    #: pc -> opcode, for the per-opcode histogram loops (counting mode).
-    opmap: Tuple[int, ...]
     #: ``len(method.code)`` — the sentinel slot's index.
     ilen: int
-    #: Shared quickening cells (see :class:`QuickeningState`); the compiled
-    #: tier's codegen reads these as speculative constants behind guards.
+    #: Shared quickening cells (see :class:`QuickeningState`); the
+    #: codegen reads these as speculative constants behind guards.
     quick: QuickeningState
 
 
-#: if_icmp* opcode -> comparison callable, for the fused compare-and-branch
-#: factories.  (The unfused comparisons are open-coded closures instead —
-#: they are the hottest single instructions and save the extra call.)
-_ICMP_FUNCS = {
-    bc.IF_ICMPEQ: operator.eq,
-    bc.IF_ICMPNE: operator.ne,
-    bc.IF_ICMPLT: operator.lt,
-    bc.IF_ICMPLE: operator.le,
-    bc.IF_ICMPGT: operator.gt,
-    bc.IF_ICMPGE: operator.ge,
-}
-
-
-def compile_method(interp, method: JMethod, fuse: bool = False) -> CompiledMethod:
+def compile_method(interp, method: JMethod) -> CompiledMethod:
     """Compile ``method`` into a :class:`CompiledMethod` for ``interp``.
 
     Closures bind the interpreter's runtime services, so compiled code is
-    per-runtime (the interpreter caches it keyed by method identity).  With
-    ``fuse`` the assembler-marked superinstruction pairs are installed and
-    the weights/plain structures materialize; callers disable fusion in
-    per-instruction-tick mode (``gc_period_ops``) and in counting mode,
-    where every instruction must be observed individually.
+    per-runtime (the interpreter caches it keyed by method identity).
     """
     _bind_interpreter_symbols()
     runtime = interp.runtime
@@ -169,29 +128,7 @@ def compile_method(interp, method: JMethod, fuse: bool = False) -> CompiledMetho
     for pc, (op, a, b) in enumerate(code):
         ccode[pc] = _compile_one(interp, runtime, ccode, quick, pc, op, a, b)
     ccode[ilen] = _make_implicit_return(interp)
-    opmap = tuple(op for op, _, _ in code)
-
-    weights = None
-    plain = None
-    if fuse and ilen > 1:
-        fusible = method.fusible
-        if fusible is None:
-            from .assembler import peephole_fusible
-
-            fusible = method.fusible = peephole_fusible(code)
-        fused_slots = []
-        for pc in fusible:
-            fused = _fuse_pair(runtime, code, pc)
-            if fused is not None:
-                fused_slots.append((pc, fused))
-        if fused_slots:
-            plain = list(ccode)
-            w = [1] * (ilen + 1)
-            for pc, fused in fused_slots:
-                ccode[pc] = fused
-                w[pc] = 2
-            weights = tuple(w)
-    return CompiledMethod(ccode, weights, plain, opmap, ilen, quick)
+    return CompiledMethod(ccode, ilen, quick)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +205,9 @@ def _compile_one(interp, runtime, ccode, quick, pc, op, a, b) -> Callable:
 
     if op == bc.NEW:
         # Quickened: the class-name lookup happens on first execution (so a
-        # never-executed bad operand never raises, as in the other tiers),
+        # never-executed bad operand never raises, as in the table loop),
         # then the slot is rewritten with the resolved JClass bound in.
-        # The shared cell lets the compiled tier pick the class up too.
+        # The shared cell lets the generated code pick the class up too.
         allocate = runtime.allocate
         lookup = runtime.program.lookup
         cell = quick.cell(pc)
@@ -563,8 +500,8 @@ def _compile_one(interp, runtime, ccode, quick, pc, op, a, b) -> Callable:
             return a if stack.pop() is not y else nxt
         return op_acmpne
 
-    # Unknown opcode: raise with first-execution timing, like both other
-    # tiers — a method containing an unreachable bad opcode must still run.
+    # Unknown opcode: raise with first-execution timing, like the table
+    # loop — a method containing an unreachable bad opcode must still run.
     def op_unknown(frame, thread):
         raise VerifyError(f"unknown opcode {op}")
     return op_unknown
@@ -573,7 +510,7 @@ def _compile_one(interp, runtime, ccode, quick, pc, op, a, b) -> Callable:
 def _make_implicit_return(interp) -> Callable:
     """The sentinel slot at ``pc == len(code)``: implicit return void.
 
-    Counted against the budget (like the other tiers) but reported with
+    Counted against the budget (like the table loop) but reported with
     ``-2`` so the driving loop excludes it from ``runtime.tick`` — only
     decoded instructions tick.
     """
@@ -667,7 +604,7 @@ def _q_invokevirtual(interp, runtime, quick, pc, name, nargs, nxt) -> Callable:
     # nargs check runs on every cache fill; a hit reuses a (class, method)
     # pair that already passed it, so the table tier's per-execution check
     # is preserved in effect.  The cells live in the shared QuickeningState
-    # so the compiled tier can guard on the same cache.
+    # so the generated code can guard on the same cache.
     cache_cls, cache_method = quick.vcall(pc)
 
     def op_invokevirtual(frame, thread):
@@ -691,75 +628,3 @@ def _q_invokevirtual(interp, runtime, quick, pc, name, nargs, nxt) -> Callable:
         invoke(thread, frame, method)
         return -1
     return op_invokevirtual
-
-
-# ---------------------------------------------------------------------------
-# Superinstruction factories
-# ---------------------------------------------------------------------------
-
-
-def _fuse_pair(runtime, code, pc) -> Optional[Callable]:
-    """Build the fused closure for the pair starting at ``pc`` (or None).
-
-    Only pairs the peephole pass recognizes reach here; the factories keep
-    the exact stack/event order of executing the two instructions back to
-    back.  Note the ``if_icmp*`` operand order: the first instruction
-    pushes ``y``, so the comparison is ``stack.pop() OP fused_y``.
-    """
-    op1, a1, _ = code[pc]
-    op2, a2, _ = code[pc + 1]
-    nxt2 = pc + 2
-
-    if op1 == bc.LOAD:
-        if op2 == bc.LOAD:
-            i1, i2 = a1, a2
-
-            def fused_load_load(frame, thread):
-                stack = frame.stack
-                loc = frame.locals
-                stack.append(loc[i1])
-                stack.append(loc[i2])
-                return nxt2
-            return fused_load_load
-
-        if op2 == bc.GETFIELD:
-            load_field = runtime.load_field
-            idx, fld = a1, a2
-
-            def fused_load_getfield(frame, thread):
-                obj = frame.locals[idx]
-                if obj is None:
-                    raise NullPointerError(f"getfield {fld} on null")
-                frame.stack.append(load_field(obj, fld, thread))
-                return nxt2
-            return fused_load_getfield
-
-        cmp_fn = _ICMP_FUNCS.get(op2)
-        if cmp_fn is not None:
-            idx, target = a1, a2
-
-            def fused_load_icmp(frame, thread):
-                return (target
-                        if cmp_fn(frame.stack.pop(), frame.locals[idx])
-                        else nxt2)
-            return fused_load_icmp
-
-    elif op1 == bc.CONST:
-        if op2 == bc.ADD:
-            k = a1
-
-            def fused_const_add(frame, thread):
-                stack = frame.stack
-                stack[-1] = stack[-1] + k
-                return nxt2
-            return fused_const_add
-
-        cmp_fn = _ICMP_FUNCS.get(op2)
-        if cmp_fn is not None:
-            k, target = a1, a2
-
-            def fused_const_icmp(frame, thread):
-                return target if cmp_fn(frame.stack.pop(), k) else nxt2
-            return fused_const_icmp
-
-    return None

@@ -1,10 +1,11 @@
-"""Compiled dispatch: the fourth interpreter tier.
+"""Compiled dispatch: the hot half of the tiered mode.
 
-``RuntimeConfig(dispatch="compiled")`` compiles each method's bytecode once
-per runtime into generated Python *source* — straight-line code with the
-operand stack lowered to Python local variables, branches as jumps within a
-``while`` state machine over basic blocks — ``exec``'d once and cached by
-the interpreter like ``_ccache``.  The generated function has the shape::
+Once ``RuntimeConfig(dispatch="tiered")`` promotes a method, its bytecode
+is compiled once per runtime into generated Python *source* — straight-line
+code with the operand stack lowered to Python local variables, branches as
+jumps within a ``while`` state machine over basic blocks — ``exec``'d once
+and cached by the interpreter like ``_ccache``.  The generated function has
+the shape::
 
     def run(frame, thread, limit, nout):
         loc = frame.locals
@@ -26,7 +27,7 @@ the interpreter like ``_ccache``.  The generated function has the shape::
 and returns ``(n, next_pc)`` where ``n`` is the number of instructions
 retired and ``next_pc`` is a resumption pc, ``-1`` (frame changed), or
 ``-2`` (implicit end-of-code return, counted but never ticked — the same
-sentinel protocol as the closure tier).
+sentinel protocol as the closure slots).
 
 **Stack lowering.**  Within one basic block the codegen tracks a symbolic
 *window* of top-of-stack entries — constants, local slots, and temporaries
@@ -38,7 +39,7 @@ sites (GC roots), invokes, returns, raises, deopts, and block exits.
 
 **Counting.**  ``n`` must equal the instructions actually retired at every
 observable point, so CG counters, ``runtime.ops``, injected-trap indices,
-and quantum boundaries stay bit-identical with the other three tiers.
+and quantum boundaries stay bit-identical with the table loop.
 Pure, non-raising instructions batch their increments into a compile-time
 ``pending`` count; ``pending`` is flushed into ``n`` (plus one for the
 current instruction) immediately *before* every instruction that can raise
@@ -53,7 +54,7 @@ pure instruction — e.g. ``add`` on a Handle — raises with up to a trace's
 error path — div-zero, null checks, verify errors, service faults — flushes
 first.)
 
-**Quickening and deopt.**  The codegen reads the closure tier's shared
+**Quickening and deopt.**  The codegen reads the closure slots' shared
 :class:`~repro.jvm.closurecode.QuickeningState` cells as speculative
 constants: resolved statics/classes/methods and the monomorphic
 invokevirtual cache.  Every speculation is protected by a guard that
@@ -61,21 +62,22 @@ invokevirtual cache.  Every speculation is protected by a guard that
 still empty or the receiver class misses the cache.  The driving loop then
 executes that one instruction through the method's closure slot (filling
 the cell, raising the error, or running the megamorphic path with exactly
-the closure tier's timing) and re-enters compiled code at the next leader
+the closure slot's timing) and re-enters compiled code at the next leader
 pc.  ``spawn``, unknown opcodes, and malformed operands deopt statically
 the same way, so first-execution semantics are literally the closure
-tier's own.
+slots' own.
 
 **Threaded calls.**  An invoke site keeps the usual service sequence
 (``_invoke`` pushes the callee frame) but then drives the callee through
-``Interpreter._call_threaded`` instead of returning ``-1`` — one Python
+``Interpreter._call_tiered`` instead of returning ``-1`` — one Python
 call per VM call rather than two driver round-trips — and continues
 inline at the post-call leader when the callee ran to completion.  The
 helper applies the exact driver discipline (budget refusal, deopt to the
-closure tail, ``-2`` accounting via ``nout[1]``) and refuses past a VM
-depth guard, so the retired-instruction stream is bit-identical; the
-additive ``nout[0] += n`` raise protocol above is what lets a fault
-propagate through nested generated frames with the exact retired count.
+closure tail, ``-2`` accounting via ``nout[1]``), refuses a callee that
+has no generated form yet, and refuses past a VM depth guard, so the
+retired-instruction stream is bit-identical; the additive
+``nout[0] += n`` raise protocol above is what lets a fault propagate
+through nested generated frames with the exact retired count.
 
 **Inlined heap services.**  ``getfield``/``putfield``/``aaload``/
 ``aastore`` replicate the collector's ``on_access`` *no-action* fast path
@@ -153,15 +155,14 @@ _STACK_EFFECT = {
 }
 
 
-def _synthetic_splits(code, lo: int, hi: int,
-                      max_block: int = MAX_BLOCK) -> List[int]:
+def _synthetic_splits(code, lo: int, hi: int) -> List[int]:
     """Split points for the over-long base block ``[lo, hi)``.
 
     Greedy: track the window size a codegen pass would see and remember
     the latest pc where it is empty; when the current block reaches
-    ``max_block`` instructions, cut at that clean pc (falling back to a
-    mid-expression cut only when a single expression spans more than
-    ``max_block`` instructions).
+    :data:`MAX_BLOCK` instructions, cut at that clean pc (falling back to
+    a mid-expression cut only when a single expression spans more than
+    :data:`MAX_BLOCK` instructions).
     """
     splits: List[int] = []
     start = lo
@@ -180,7 +181,7 @@ def _synthetic_splits(code, lo: int, hi: int,
             if size == 0:
                 last_clean = pc + 1
         pc += 1
-        if pc - start >= max_block and pc < hi:
+        if pc - start >= MAX_BLOCK and pc < hi:
             if last_clean is not None and last_clean > start:
                 cut = last_clean
             else:
@@ -203,7 +204,7 @@ class PyCompiledMethod(NamedTuple):
     leaders: FrozenSet[int]
     #: The generated source, kept for inspection and tests.
     source: str
-    #: The closure-tier form: deopt target and quickening-cell owner.
+    #: The closure form: deopt target and quickening-cell owner.
     closure: CompiledMethod
     #: leader pc -> its block's instruction count (the exact quantity the
     #: generated budget checks compare against).  A pure driving-loop
@@ -215,7 +216,7 @@ class PyCompiledMethod(NamedTuple):
 
 def _call_disabled(frame, thread, budget, nout):
     """``_call`` binding for profiled runs: always hand back to the driver
-    (same signature as ``Interpreter._call_threaded``)."""
+    (same signature as ``Interpreter._call_tiered``)."""
     return 0, False
 
 
@@ -292,12 +293,9 @@ def _base_bindings(interp) -> dict:
         "_invoke": interp._invoke,
         # Threaded calls re-route the depth-profile attribution (callee
         # time lands on the caller's driver entry), so profiled runs keep
-        # the driver-bounce protocol.  Tiered mode binds the refusing
-        # variant so a promoted caller never force-compiles a cold callee.
+        # the driver-bounce protocol.
         "_call": (_call_disabled if runtime.profiler.enabled
-                  else interp._call_tiered
-                  if runtime.config.dispatch == "tiered"
-                  else interp._call_threaded),
+                  else interp._call_tiered),
         "_ret": interp._return,
         "_instanceof": interp._instanceof,
         "_arraycls": runtime.program.classes[Program.ARRAY],
@@ -508,7 +506,6 @@ def _rebuild_bindings(interp, closure: CompiledMethod, code,
 
 
 def cached_method_py(interp, method: JMethod, closure: CompiledMethod,
-                     max_block: int = MAX_BLOCK,
                      max_trace: Optional[int] = None
                      ) -> Optional[PyCompiledMethod]:
     """Build ``method``'s generated form from the caches alone, or
@@ -519,13 +516,13 @@ def cached_method_py(interp, method: JMethod, closure: CompiledMethod,
     worth it, and a warm cache (bench repeats, warm pool workers,
     repeated ``serve`` requests) makes codegen free, so a hit promotes
     immediately instead of re-earning the threshold.  Promotion timing
-    is pure wall-time policy — counters are tier-invariant — so the
+    is pure wall-time policy — counters are promotion-invariant — so the
     short-circuit can never change results.
     """
     _bind_interpreter_symbols()
     if max_trace is None:
         max_trace = _Codegen.MAX_TRACE
-    key, cached = _cache_lookup(interp, method, (max_block, max_trace),
+    key, cached = _cache_lookup(interp, method, (MAX_BLOCK, max_trace),
                                 count_miss=False)
     if cached is None:
         return None
@@ -538,21 +535,19 @@ def cached_method_py(interp, method: JMethod, closure: CompiledMethod,
 
 
 def compile_method_py(interp, method: JMethod, closure: CompiledMethod,
-                      max_block: int = MAX_BLOCK,
                       max_trace: Optional[int] = None) -> PyCompiledMethod:
     """Generate, ``compile`` and ``exec`` the Python form of ``method``.
 
-    ``max_block``/``max_trace`` are the trace caps — the defaults every
-    tier uses, lifted only by the tiered mode's adaptive recompile of
-    deopt-free hot methods.  Both feed the cache keys (in-memory and
-    disk): the same method compiled under different caps is different
-    generated code.
+    ``max_trace`` is the trace cap — the default at promotion, lifted only
+    by the adaptive recompile of deopt-free hot methods.  It feeds the
+    cache keys (in-memory and disk) beside :data:`MAX_BLOCK`: the same
+    method compiled under different caps is different generated code.
     """
     _bind_interpreter_symbols()
     code = method.code
     if max_trace is None:
         max_trace = _Codegen.MAX_TRACE
-    caps = (max_block, max_trace)
+    caps = (MAX_BLOCK, max_trace)
     key, cached = _cache_lookup(interp, method, caps)
     if cached is not None:
         source, codeobj, ordered, blen, extra = cached
@@ -566,8 +561,8 @@ def compile_method_py(interp, method: JMethod, closure: CompiledMethod,
         leaders = set(base)
         ordered = sorted(leaders)
         for lo, hi in zip(ordered, ordered[1:]):
-            if hi - lo > max_block:
-                leaders.update(_synthetic_splits(code, lo, hi, max_block))
+            if hi - lo > MAX_BLOCK:
+                leaders.update(_synthetic_splits(code, lo, hi))
         ordered = sorted(leaders)
         gen = _Codegen(interp, method, closure, ordered, max_trace)
         source = gen.generate()
@@ -909,7 +904,7 @@ class _Codegen:
     def _raise_guard(self, indent: int, cond: str, exc: str) -> None:
         """Null-check-style raise: call after ``_count`` so the faulting
         instruction is already charged; spill so the frame's real stack
-        matches the closure tier's at the raise."""
+        matches the closure slot's at the raise."""
         self.emit(indent, f"if {cond}:")
         self._spill(indent + 1)
         self.emit(indent + 1, f"raise {exc}")
@@ -950,7 +945,7 @@ class _Codegen:
 
         ``_call`` executes the just-pushed frame to completion when it can
         (same budget/count discipline as the driving loop, see
-        ``Interpreter._call_threaded``); on success the caller continues
+        ``Interpreter._call_tiered``); on success the caller continues
         inline at the post-call leader, otherwise it returns ``-1`` and
         the driver takes over exactly as before.
         """
@@ -1354,7 +1349,7 @@ class _Codegen:
 
         if op == bc.RETURN:
             self._count(indent, 1)
-            self._flush(indent)  # dying frame's stack must match closure tier
+            self._flush(indent)  # dying frame's stack must match closure slot
             emit(indent, "_ret(thread, _VOID)")
             emit(indent, "return n, -1")
             return True

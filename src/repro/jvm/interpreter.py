@@ -7,19 +7,15 @@ the opcode's position.  The CG-relevant instructions delegate to the runtime
 services, which raise the collector events; the interpreter itself only
 moves values between locals, operand stacks, and the heap.
 
-Five dispatch tiers share this file's runtime services and must produce
-identical stats on every program (the opcode-parity differential suite is
-the oracle): ``tiered`` (the default — profile-guided: methods start in
-the closure tier under a per-method invocation + loop-backedge hotness
-counter and are promoted to the compiled tier at a call boundary once
-hot, see :meth:`Interpreter._step_n_tiered`), ``compiled`` (every method
-compiled up front to generated Python source with guard-protected
-speculation and deopt to the closure tier,
-:mod:`repro.jvm.compiledcode`), ``closure`` (per-method closure
-compilation with quickening and superinstruction fusion,
-:mod:`repro.jvm.closurecode`), ``table`` (the loop below), and ``chain``
-(the original if/elif reference, retained via
-``RuntimeConfig(dispatch="chain")``).
+Two dispatch modes share this file's runtime services and must produce
+identical stats on every program: ``table`` (the loop below — the oracle
+the opcode-parity suite and the perfbench reference compare against) and
+``tiered`` (the default, :meth:`Interpreter._step_n_tiered`).  Tiered
+starts each method on pre-bound closures (:mod:`repro.jvm.closurecode`)
+under a per-method invocation + loop-backedge hotness counter and
+promotes it at a call boundary, once hot, to generated Python source
+with guard-protected speculation that deopts back to the closures
+(:mod:`repro.jvm.compiledcode`).
 
 Threading: :meth:`Interpreter.run_program` drives the deterministic
 round-robin scheduler — each runnable thread executes up to a quantum of
@@ -443,25 +439,25 @@ class Interpreter:
         self.op_counts: Optional[List[int]] = (
             [0] * bc.OP_COUNT if self.count_ops else None
         )
-        #: JMethod -> CompiledMethod for the closure tier.  Per-interpreter:
+        #: JMethod -> CompiledMethod, tiered's closure half.  Per-interpreter:
         #: compiled closures bind this runtime's services.
         self._ccache: Dict[JMethod, object] = {}
-        #: JMethod -> PyCompiledMethod for the compiled tier (the generated
-        #: Python form; its closure-tier form lives in ``_ccache``).
+        #: JMethod -> PyCompiledMethod, tiered's compiled half (the
+        #: generated Python form; its closure form lives in ``_ccache``).
         self._pycache: Dict[JMethod, object] = {}
-        #: Out-parameter cells for the compiled tier's generated functions.
+        #: Out-parameter cells for the generated functions.
         #: ``[0]``: on an exception, the instructions retired before the
         #: raise (re-entrant: every raise path *adds* its count just-in-time
         #: and each driving-loop level consumes its value before
         #: re-raising).  ``[1]``: implicit end-of-code returns retired
-        #: inside a threaded call (:meth:`_call_threaded`) — counted but
+        #: inside a threaded call (:meth:`_call_tiered`) — counted but
         #: never ticked; each driver reads and re-zeroes it after every
         #: generated-``run`` call.
         self._nout: List[int] = [0, 0]
         #: Tiered dispatch (profile-guided promotion) state.  ``_hotness``
         #: maps cold methods to their hotness score (driver visits plus
         #: weighted loop backedges); crossing ``promote_after`` promotes
-        #: the method to the compiled tier at its next call boundary.
+        #: the method to generated code at its next call boundary.
         #: ``_deopts`` counts guard deopts per promoted method;
         #: ``_promoted_visits``/``_recompiled`` drive the one-shot
         #: adaptive-cap recompile (see :meth:`_step_n_tiered`).  All of it
@@ -478,7 +474,6 @@ class Interpreter:
         #: miss falls back to the profile-and-promote path.
         self._cache_probed: set = set()
         self._promote_after: int = config.promote_after
-        self._backedge_weight: int = config.promote_backedge_weight
         #: Always-on compile accounting, independent of the profiler: wall
         #: seconds and method counts for the one-time closure-compile and
         #: codegen paths.  Feeds ``vm.compile.*`` metrics, the snapshot
@@ -505,56 +500,18 @@ class Interpreter:
                 f"dispatch must be one of {DISPATCH_CHOICES}, got {dispatch!r}"
                 f"{did_you_mean(dispatch, DISPATCH_CHOICES)}"
             )
-        #: Superinstruction fusion is enabled only where the batched closure
-        #: loop runs: with a periodic-GC trigger or a heartbeat armed every
-        #: instruction must tick individually (both fire at exact op
-        #: counts), and in counting mode every instruction must be
-        #: observed individually.  (Fault budget slicing is fine — the
-        #: weights mechanism keeps fused pairs inside every budget slice.)
-        #: The compiled tier never fuses: its deopt path single-steps
-        #: closure slots one instruction at a time, and a fused slot would
-        #: retire two instructions charged as one there.  The tiered mode
-        #: inherits that rule — its cold closure segments become the
-        #: compiled tier's deopt targets after promotion, so they must be
-        #: unfused from the start.
-        self._fuse = (
-            dispatch == "closure"
-            and not runtime._tick_per_op
-            and not self.count_ops
-        )
         if self.count_ops:
-            # Counting loops tick per instruction; with no periodic-GC
+            # The counting loop ticks per instruction; with no periodic-GC
             # trigger tick() is a pure counter bump, so the observable
-            # results stay bit-identical to the batched loops.  Chain
-            # dispatch counts via the table loop (they are parity-equal);
-            # the compiled and tiered tiers count via the closure loop
-            # (per-opcode observation needs per-instruction dispatch
-            # anyway, and promotion would only change wall time).
-            self.step_n = (
-                self._step_n_closure_counting
-                if dispatch in ("closure", "compiled", "tiered")
-                else self._step_n_table_counting
-            )
-        elif dispatch == "chain":
-            self.step_n = self._step_n_chain
-        elif dispatch == "closure":
-            self.step_n = (
-                self._step_n_closure if not runtime._tick_per_op
-                else self._step_n_closure_tick
-            )
-        elif dispatch == "compiled":
-            # Per-instruction-tick modes (gc_period_ops / heartbeat) need
-            # control at every instruction boundary — generated blocks
-            # would deopt at every pc, so run the closure tick loop
-            # wholesale instead (bit-identical by the parity suite).
-            self.step_n = (
-                self._step_n_compiled if not runtime._tick_per_op
-                else self._step_n_closure_tick
-            )
+            # results stay bit-identical to the batched loops.  Tiered
+            # counts via the table loop too: per-opcode observation needs
+            # per-instruction dispatch anyway, the two modes are
+            # parity-equal, and promotion would only change wall time.
+            self.step_n = self._step_n_table_counting
         elif dispatch == "tiered":
-            # Same per-instruction-tick escape hatch as the compiled
-            # tier: with gc_period_ops or a heartbeat armed, promotion
-            # could only ever reach code that deopts at every pc, so the
+            # With gc_period_ops or a heartbeat armed, control is needed
+            # at every instruction boundary: promotion could only ever
+            # reach generated code that deopts at every pc, so the
             # closure tick loop runs wholesale instead.
             self.step_n = (
                 self._step_n_tiered if not runtime._tick_per_op
@@ -793,216 +750,9 @@ class Interpreter:
             profiler.charge_depth(profile_depth, elapsed)
         return executed
 
-    def _step_n_chain(self, thread: JThread, budget: int,
-                      stop_depth: int = 0) -> int:
-        """The original if/elif dispatch loop, kept as the reference
-        implementation for the opcode-parity suite (``dispatch="chain"``)."""
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        while executed < budget and len(frames) > stop_depth:
-            frame = frames[-1]
-            method = frame.method
-            code = method.code
-            if frame.pc >= len(code):
-                # Fell off the end: implicit return void.
-                self._return(thread, VOID)
-                executed += 1
-                continue
-            op, a, b = code[frame.pc]
-            frame.pc += 1
-            executed += 1
-            runtime.tick()
-            stack = frame.stack
-
-            if op == bc.CONST:
-                stack.append(a)
-            elif op == bc.LOAD:
-                stack.append(frame.locals[a])
-            elif op == bc.STORE:
-                frame.locals[a] = stack.pop()
-            elif op == bc.ACONST_NULL:
-                stack.append(None)
-            elif op == bc.GETFIELD:
-                obj = stack.pop()
-                if obj is None:
-                    raise NullPointerError(f"getfield {a} on null")
-                stack.append(runtime.load_field(obj, a, thread))
-            elif op == bc.PUTFIELD:
-                value = stack.pop()
-                obj = stack.pop()
-                if obj is None:
-                    raise NullPointerError(f"putfield {a} on null")
-                runtime.store_field(obj, a, value, thread)
-            elif op == bc.NEW:
-                stack.append(runtime.allocate(a, thread))
-            elif op == bc.NEWARRAY:
-                length = stack.pop()
-                stack.append(
-                    runtime.allocate(Program.ARRAY, thread, length=length)
-                )
-            elif op == bc.AALOAD:
-                index = stack.pop()
-                array = stack.pop()
-                if array is None:
-                    raise NullPointerError("aaload on null array")
-                stack.append(runtime.load_element(array, index, thread))
-            elif op == bc.AASTORE:
-                value = stack.pop()
-                index = stack.pop()
-                array = stack.pop()
-                if array is None:
-                    raise NullPointerError("aastore on null array")
-                runtime.store_element(array, index, value, thread)
-            elif op == bc.ARRAYLENGTH:
-                array = stack.pop()
-                if array is None:
-                    raise NullPointerError("arraylength on null")
-                runtime.access(array, thread)
-                stack.append(array.length)
-            elif op == bc.GETSTATIC:
-                if type(a) is tuple:
-                    cls_name, field = a
-                else:
-                    cls_name, field = a.rsplit(".", 1)
-                cls = runtime.program.lookup(cls_name)
-                stack.append(runtime.load_static(field, cls))
-            elif op == bc.PUTSTATIC:
-                if type(a) is tuple:
-                    cls_name, field = a
-                else:
-                    cls_name, field = a.rsplit(".", 1)
-                cls = runtime.program.lookup(cls_name)
-                runtime.store_static(field, stack.pop(), cls)
-            elif op == bc.INVOKESTATIC:
-                method_callee = runtime.program.resolve(a)
-                self._invoke(thread, frame, method_callee)
-            elif op == bc.INVOKEVIRTUAL:
-                nargs = b
-                if nargs < 1:
-                    raise VerifyError("invokevirtual needs a receiver")
-                receiver = frame.stack[-nargs]
-                if receiver is None:
-                    raise NullPointerError(f"invokevirtual {a} on null")
-                runtime.access(receiver, thread)
-                method_callee = receiver.cls.resolve_method(a)
-                if method_callee.nargs != nargs:
-                    raise VerifyError(
-                        f"{method_callee.qualified_name} takes "
-                        f"{method_callee.nargs} args, call site passes {nargs}"
-                    )
-                self._invoke(thread, frame, method_callee)
-            elif op == bc.RETVAL:
-                value = stack.pop()
-                if isinstance(value, Handle):
-                    runtime.return_reference(value, thread)
-                self._return(thread, value)
-            elif op == bc.RETURN:
-                self._return(thread, VOID)
-            elif op == bc.SPAWN:
-                _h_spawn(self, runtime, thread, frame, a, b)
-            elif op == bc.LDC_STR:
-                stack.append(runtime.new_string(a, thread))
-            elif op == bc.INTERN:
-                string = stack.pop()
-                if string is None:
-                    raise NullPointerError("intern on null")
-                runtime.access(string, thread)
-                stack.append(runtime.intern(string))
-            elif op == bc.INSTANCEOF:
-                obj = stack.pop()
-                stack.append(self._instanceof(obj, a))
-            elif op == bc.DUP:
-                stack.append(stack[-1])
-            elif op == bc.POP:
-                stack.pop()
-            elif op == bc.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op == bc.ADD:
-                y = stack.pop()
-                stack[-1] = stack[-1] + y
-            elif op == bc.SUB:
-                y = stack.pop()
-                stack[-1] = stack[-1] - y
-            elif op == bc.MUL:
-                y = stack.pop()
-                stack[-1] = stack[-1] * y
-            elif op == bc.DIV:
-                y = stack.pop()
-                x = stack.pop()
-                if isinstance(x, int) and isinstance(y, int):
-                    stack.append(int(x / y) if y != 0 else _div_zero())
-                else:
-                    stack.append(x / y)
-            elif op == bc.MOD:
-                y = stack.pop()
-                x = stack.pop()
-                stack.append(x - int(x / y) * y if y != 0 else _div_zero())
-            elif op == bc.NEG:
-                stack[-1] = -stack[-1]
-            elif op == bc.IINC:
-                frame.locals[a] += b
-            elif op == bc.GOTO:
-                frame.pc = a
-            elif op == bc.IFZERO:
-                if stack.pop() == 0:
-                    frame.pc = a
-            elif op == bc.IFNZERO:
-                if stack.pop() != 0:
-                    frame.pc = a
-            elif op == bc.IFNULL:
-                if stack.pop() is None:
-                    frame.pc = a
-            elif op == bc.IFNONNULL:
-                if stack.pop() is not None:
-                    frame.pc = a
-            elif op == bc.IF_ICMPEQ:
-                y = stack.pop()
-                if stack.pop() == y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPNE:
-                y = stack.pop()
-                if stack.pop() != y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPLT:
-                y = stack.pop()
-                if stack.pop() < y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPLE:
-                y = stack.pop()
-                if stack.pop() <= y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPGT:
-                y = stack.pop()
-                if stack.pop() > y:
-                    frame.pc = a
-            elif op == bc.IF_ICMPGE:
-                y = stack.pop()
-                if stack.pop() >= y:
-                    frame.pc = a
-            elif op == bc.IF_ACMPEQ:
-                y = stack.pop()
-                if stack.pop() is y:
-                    frame.pc = a
-            elif op == bc.IF_ACMPNE:
-                y = stack.pop()
-                if stack.pop() is not y:
-                    frame.pc = a
-            else:
-                raise VerifyError(f"unknown opcode {op}")
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
-
     # ------------------------------------------------------------------
-    # Closure dispatch (the default tier; see repro.jvm.closurecode)
+    # Tiered dispatch: closure half (repro.jvm.closurecode) and compiled
+    # half (repro.jvm.compiledcode)
     # ------------------------------------------------------------------
 
     def _compiled_for(self, method: JMethod):
@@ -1018,7 +768,7 @@ class Interpreter:
         from .closurecode import compile_method
 
         started = perf_counter()
-        compiled = compile_method(self, method, fuse=self._fuse)
+        compiled = compile_method(self, method)
         elapsed = perf_counter() - started
         self.compile_seconds += elapsed
         self.methods_compiled += 1
@@ -1034,7 +784,7 @@ class Interpreter:
         The closure form is built first — it is the deopt target and owns
         the quickening cells the codegen reads — and keeps its
         ``PHASE_COMPILE`` charge; source generation + ``exec`` is charged
-        to ``PHASE_CODEGEN`` so warmup cost decomposes per tier.
+        to ``PHASE_CODEGEN`` so warmup cost decomposes per half.
         """
         try:
             return self._pycache[method]
@@ -1074,175 +824,31 @@ class Interpreter:
         self._pycache[method] = compiled
         return compiled
 
-    #: VM call depth beyond which :meth:`_call_threaded` refuses and the
+    #: VM call depth beyond which :meth:`_call_tiered` refuses and the
     #: invoke falls back to the driver bounce.  Threaded calls nest two
     #: Python frames per VM frame, so this keeps deep recursion (raytrace)
     #: far from Python's own recursion limit; past the guard the *oldest*
     #: refusing driver level drives deeper frames iteratively.
     CALL_THREAD_MAX_DEPTH = 64
 
-    def _call_threaded(self, frame, thread: JThread, budget: int,
-                       nout) -> Tuple[int, bool]:
+    def _call_tiered(self, frame, thread: JThread, budget: int,
+                     nout) -> Tuple[int, bool]:
         """Drive the frame an invoke site just pushed, without leaving
-        generated code: bound as ``_call`` into the compiled tier, so a VM
-        call costs one Python call instead of two driver round-trips.
+        generated code: bound as ``_call`` into every generated method, so
+        a VM call between promoted methods costs one Python call instead
+        of two driver round-trips.
 
         ``frame`` is the *caller*; if it is still on top the invoke was a
         native that completed inline and there is nothing to drive.
         Returns ``(executed, done)``.  ``done=False`` hands control back
-        to :meth:`_step_n_compiled` with identical semantics — budget
-        exhausted, a deopt pc needing the closure tail, or the recursion
-        guard.  Ticking stays the outer driver's job; implicit end-of-code
-        returns accumulate in ``nout[1]`` (consumed there).
-        """
-        frames = thread.stack.frames
-        if frames[-1] is frame:
-            return 0, True
-        stop_depth = len(frames) - 1
-        if stop_depth >= self.CALL_THREAD_MAX_DEPTH:
-            return 0, False
-        executed = 0
-        pycache = self._pycache
-        py_for = self._py_compiled_for
-        while len(frames) > stop_depth:
-            if executed >= budget:
-                return executed, False
-            callee = frames[-1]
-            method = callee.method
-            comp = pycache.get(method) or py_for(method)
-            pc = callee.pc
-            if pc not in comp.leaders:
-                return executed, False
-            nout[0] = 0
-            try:
-                k, npc = comp.run(callee, thread, budget - executed, nout)
-            except BaseException:
-                nout[0] += executed
-                raise
-            executed += k
-            if npc == -2:
-                nout[1] += 1
-                continue
-            if npc < 0:
-                continue
-            callee.pc = npc
-            return executed, False
-        return executed, True
-
-    def _step_n_compiled(self, thread: JThread, budget: int,
-                         stop_depth: int = 0) -> int:
-        """The compiled-dispatch loop: run generated straight-line Python
-        per method (:mod:`repro.jvm.compiledcode`), falling back to
-        single-stepped closure slots at non-leader pcs — the deopt path
-        for guard failures, spawns, quantum tails, and sliced budgets.
-
-        The generated ``run`` returns ``(k, next_pc)`` with ``k``
-        instructions retired; ``-1``/``-2`` sentinels and tick accounting
-        follow the closure loop's protocol exactly (``-2`` — the implicit
-        end-of-code return — is counted but never ticked).  On an
-        exception, ``run`` stores its retired count in the shared
-        ``_nout`` cell so a faulting instruction is charged exactly as in
-        the other tiers.
-        """
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        pycache = self._pycache
-        py_for = self._py_compiled_for
-        nout = self._nout
-        unticked = 0
-        try:
-            while executed < budget and len(frames) > stop_depth:
-                frame = frames[-1]
-                method = frame.method
-                comp = pycache.get(method) or py_for(method)
-                leaders = comp.leaders
-                pc = frame.pc
-                if pc in leaders:
-                    nout[0] = 0
-                    try:
-                        k, npc = comp.run(frame, thread, budget - executed,
-                                          nout)
-                    except BaseException:
-                        executed += nout[0]
-                        u = nout[1]
-                        if u:
-                            unticked += u
-                            nout[1] = 0
-                        raise
-                    executed += k
-                    u = nout[1]
-                    if u:
-                        # Implicit returns retired inside threaded calls:
-                        # counted in k, excluded from the tick (read and
-                        # re-zeroed here so a sync-nested driver never
-                        # consumes another level's increments).
-                        unticked += u
-                        nout[1] = 0
-                    if npc == -2:
-                        unticked += 1
-                        continue
-                    if npc < 0:
-                        continue
-                    frame.pc = npc
-                    if executed >= budget:
-                        continue
-                    # npc is either a refused leader (its block no longer
-                    # fits the remaining budget) or a deopt pc mid-block —
-                    # either way the closure segment below fills the tail.
-                # Closure-dispatched segment: the deopt path and the
-                # quantum tail.  Same inner loop as _step_n_closure plus
-                # a block-fit check to hop back into generated code: only
-                # break at a leader whose whole block is affordable, so
-                # ``run`` is never re-entered just to refuse again.
-                cm = comp.closure
-                ccode = cm.ccode
-                blen = comp.blen
-                pc = frame.pc
-                if pc > cm.ilen:
-                    # Wild branch past the end: any pc >= len(code) is the
-                    # implicit return, as in the other tiers.
-                    pc = cm.ilen
-                limit = budget - executed
-                n = 0
-                try:
-                    while n < limit:
-                        n += 1
-                        pc = ccode[pc](frame, thread)
-                        if pc < 0:
-                            if pc == -2:
-                                unticked += 1
-                            break
-                        if pc in leaders and limit - n >= blen[pc]:
-                            break
-                finally:
-                    executed += n
-                if pc >= 0:
-                    frame.pc = pc
-        finally:
-            ticked = executed - unticked
-            if ticked:
-                runtime.tick(ticked)
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
-
-    def _call_tiered(self, frame, thread: JThread, budget: int,
-                     nout) -> Tuple[int, bool]:
-        """Tiered-mode ``_call`` binding: :meth:`_call_threaded` minus the
-        force-compile.  A promoted caller may invoke a still-cold callee;
-        threading through it would codegen the callee eagerly — exactly
-        the warmup cost tiering exists to avoid — so this variant refuses
-        (``done=False``) whenever the callee has no generated form yet,
-        handing the frame back to :meth:`_step_n_tiered`, whose cold path
-        runs it in the closure tier and counts its hotness.
+        to :meth:`_step_n_tiered` with identical semantics — budget
+        exhausted, a deopt pc needing the closure tail, the recursion
+        guard, or a callee with no generated form yet (threading through
+        a cold callee would codegen it eagerly, the warmup cost tiering
+        exists to avoid; the driver's cold path runs it on closures and
+        counts its hotness).  Ticking stays the outer driver's job;
+        implicit end-of-code returns accumulate in ``nout[1]`` (consumed
+        there).
         """
         frames = thread.stack.frames
         if frames[-1] is frame:
@@ -1282,6 +888,11 @@ class Interpreter:
     #: recompile decision is taken (deopt-free by then -> lifted caps).
     RECOMPILE_AFTER_VISITS = 32
 
+    #: Hotness score of one loop backedge retired on closures (a driver
+    #: visit scores 1): a tight loop should get hot in a few iterations,
+    #: not a few thousand visits.
+    PROMOTE_BACKEDGE_WEIGHT = 8
+
     def _recompile_lifted(self, method: JMethod):
         """Recompile a promoted, deopt-free method with a lifted trace cap.
 
@@ -1301,7 +912,7 @@ class Interpreter:
         doubling it measurably pushes ~10% of a tight kernel's
         instructions onto the slow path.  Counter parity is unaffected:
         caps only move where generated code *refuses*, and every refusal
-        path charges identically to the closure tier.
+        path charges identically to the closure slots.
         """
         from .compiledcode import compile_method_py
 
@@ -1326,23 +937,31 @@ class Interpreter:
         """The tiered-dispatch loop: profile-guided closure-to-compiled
         promotion.
 
-        Cold methods run the closure inner loop (as
-        :meth:`_step_n_closure`, unfused) while a hotness score
-        accumulates: +1 per driver visit, +``promote_backedge_weight``
-        per backward branch observed in the segment.  When the score
-        reaches ``promote_after``, the method is promoted at its next
-        call boundary — codegenned and driven through the verbatim
-        :meth:`_step_n_compiled` protocol from then on, including its
-        deopt path.  A promoted method that stays deopt-free for
-        :data:`RECOMPILE_AFTER_VISITS` visits is recompiled once with
-        lifted trace caps (:meth:`_recompile_lifted`).
+        Cold methods run the closure inner loop, ``pc = ccode[pc](frame,
+        thread)``, while a hotness score accumulates: +1 per driver
+        visit, +:data:`PROMOTE_BACKEDGE_WEIGHT` per backward branch
+        observed in the segment.  When the score reaches
+        ``promote_after``, the method is promoted at its next call
+        boundary: codegenned, then entered through its generated ``run``
+        at every leader pc, with the closure slots single-stepping the
+        deopt path and each quantum's tail.  A promoted method that stays
+        deopt-free for :data:`RECOMPILE_AFTER_VISITS` visits is
+        recompiled once with lifted trace caps (:meth:`_recompile_lifted`).
 
-        Soundness: the closure and compiled tiers are counter-identical
-        on every program (the parity suite's oracle), so *any* per-method
-        interleaving of the two is counter-identical too — hotness only
-        decides which tier spends the wall time.  The score itself is
-        derived from driver visits, never from ``runtime.ops``, and is
-        read by nothing but this loop.
+        Tick accounting matches the batched table loop: decoded
+        instructions (including a faulting one) tick in one flush per
+        call; implicit end-of-code returns (the ``-2`` sentinel) are
+        executed but never ticked.  On an exception, generated ``run``
+        stores its retired count in the shared ``_nout`` cell so a
+        faulting instruction is charged exactly as in the table loop.
+
+        Soundness: the closure slots and the generated code are each
+        counter-identical to the table oracle on every program (the
+        parity suite sweeps ``promote_after`` from first-visit to never),
+        so *any* per-method interleaving of the two is counter-identical
+        too — hotness only decides which half spends the wall time.  The
+        score itself is derived from driver visits, never from
+        ``runtime.ops``, and is read by nothing but this loop.
         """
         runtime = self.runtime
         executed = 0
@@ -1359,7 +978,7 @@ class Interpreter:
         probed = self._cache_probed
         hot = self._hotness
         threshold = self._promote_after
-        bweight = self._backedge_weight
+        bweight = self.PROMOTE_BACKEDGE_WEIGHT
         pvisits = self._promoted_visits
         deopts = self._deopts
         recompiled = self._recompiled
@@ -1400,7 +1019,7 @@ class Interpreter:
                         pc = frame.pc
                         if pc > cm.ilen:
                             # Wild branch past the end: implicit return,
-                            # as in every other tier.
+                            # as in the table loop.
                             pc = cm.ilen
                         limit = budget - executed
                         n = 0
@@ -1424,8 +1043,8 @@ class Interpreter:
                             score += back * bweight
                         hot[method] = score
                         continue
-                # Promoted: the _step_n_compiled protocol, verbatim, plus
-                # deopt bookkeeping for the adaptive-cap recompile.  Once
+                # Promoted: generated code at leader pcs, plus deopt
+                # bookkeeping for the adaptive-cap recompile.  Once
                 # the one-shot decision is taken the method is *settled*
                 # and every remaining visit skips the bookkeeping — the
                 # deopt record has nothing left to gate.
@@ -1457,6 +1076,10 @@ class Interpreter:
                     executed += k
                     u = nout[1]
                     if u:
+                        # Implicit returns retired inside threaded calls:
+                        # counted in k, excluded from the tick (read and
+                        # re-zeroed here so a sync-nested driver never
+                        # consumes another level's increments).
                         unticked += u
                         nout[1] = 0
                     if npc == -2:
@@ -1473,7 +1096,11 @@ class Interpreter:
                     if executed >= budget:
                         continue
                 # Closure-dispatched segment: the deopt path and the
-                # quantum tail, identical to _step_n_compiled.
+                # quantum tail (npc was a refused leader whose block no
+                # longer fits the budget, or a deopt pc mid-block).  Only
+                # break at a leader whose whole block is affordable, so
+                # ``run`` is never re-entered just to refuse again; any
+                # pc past the end is the implicit return, as in ``table``.
                 cm = comp.closure
                 ccode = cm.ccode
                 blen = comp.blen
@@ -1507,92 +1134,6 @@ class Interpreter:
             profiler.charge_depth(profile_depth, elapsed)
         return executed
 
-    def _step_n_closure(self, thread: JThread, budget: int,
-                        stop_depth: int = 0) -> int:
-        """The closure-dispatch loop (no periodic-GC trigger): the hot path
-        is ``pc = ccode[pc](frame, thread)`` — zero decode, zero per-step
-        attribute traffic.
-
-        Tick accounting matches the batched table loop: decoded
-        instructions (including a faulting one) tick in one flush per
-        quantum; implicit end-of-code returns (the ``-2`` sentinel) are
-        executed but never ticked.  When superinstructions are fused,
-        ``weights`` charges two instructions per fused slot and the loop
-        falls back to the pair's unfused first closure (``plain``) whenever
-        only one instruction of budget remains — so a fused pair never
-        straddles a quantum or a fault-plan budget slice.
-        """
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        cache = self._ccache
-        compiled_for = self._compiled_for
-        unticked = 0
-        try:
-            while executed < budget and len(frames) > stop_depth:
-                frame = frames[-1]
-                method = frame.method
-                compiled = cache.get(method) or compiled_for(method)
-                ccode = compiled.ccode
-                weights = compiled.weights
-                pc = frame.pc
-                if pc > compiled.ilen:
-                    # Wild branch past the end (hand-built code): the other
-                    # tiers treat any pc >= len(code) as the implicit return.
-                    pc = compiled.ilen
-                limit = budget - executed
-                n = 0
-                if weights is None:
-                    try:
-                        while n < limit:
-                            n += 1
-                            pc = ccode[pc](frame, thread)
-                            if pc < 0:
-                                if pc == -2:
-                                    unticked += 1
-                                break
-                    finally:
-                        executed += n
-                else:
-                    plain = compiled.plain
-                    try:
-                        while n < limit:
-                            if weights[pc] == 1:
-                                n += 1
-                                pc = ccode[pc](frame, thread)
-                            elif limit - n >= 2:
-                                n += 2
-                                pc = ccode[pc](frame, thread)
-                            else:
-                                # One instruction of budget left but the
-                                # slot is a fused pair: run its unfused
-                                # first half so the slice boundary lands
-                                # between the two original instructions.
-                                n += 1
-                                pc = plain[pc](frame, thread)
-                            if pc < 0:
-                                if pc == -2:
-                                    unticked += 1
-                                break
-                    finally:
-                        executed += n
-                if pc >= 0:
-                    frame.pc = pc
-        finally:
-            ticked = executed - unticked
-            if ticked:
-                runtime.tick(ticked)
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
-
     def _step_n_closure_tick(self, thread: JThread, budget: int,
                              stop_depth: int = 0) -> int:
         """Closure dispatch with a periodic-GC trigger or heartbeat armed.
@@ -1600,8 +1141,6 @@ class Interpreter:
         Mirrors the table loop's per-instruction ordering exactly — pc
         advanced, ``executed`` charged, ``tick()``, then the instruction —
         so collections trigger at identical instruction boundaries.
-        Superinstruction fusion is disabled in this mode (every
-        instruction must tick individually).
         """
         runtime = self.runtime
         executed = 0
@@ -1636,61 +1175,15 @@ class Interpreter:
         return executed
 
     # ------------------------------------------------------------------
-    # Counting loops (count_opcodes mode: per-opcode histogram)
+    # Counting loop (count_opcodes mode: per-opcode histogram)
     # ------------------------------------------------------------------
-
-    def _step_n_closure_counting(self, thread: JThread, budget: int,
-                                 stop_depth: int = 0) -> int:
-        """Closure dispatch with the per-opcode histogram enabled.
-
-        Per-instruction (fusion disabled) so every executed opcode is
-        observed; with no periodic trigger ``tick()`` degenerates to a
-        counter bump, so results stay bit-identical to the batched loop.
-        """
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        cache = self._ccache
-        compiled_for = self._compiled_for
-        counts = self.op_counts
-        op_count = bc.OP_COUNT
-        while executed < budget and len(frames) > stop_depth:
-            frame = frames[-1]
-            method = frame.method
-            compiled = cache.get(method) or compiled_for(method)
-            pc = frame.pc
-            if pc >= compiled.ilen:
-                self._return(thread, VOID)
-                executed += 1
-                continue
-            frame.pc = pc + 1
-            executed += 1
-            runtime.tick()
-            op = compiled.opmap[pc]
-            if 0 <= op < op_count:
-                # Unknown opcodes are not counted (the compiled slot raises
-                # VerifyError below, matching the table loop's check order).
-                counts[op] += 1
-            npc = compiled.ccode[pc](frame, thread)
-            if npc >= 0:
-                frame.pc = npc
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
 
     def _step_n_table_counting(self, thread: JThread, budget: int,
                                stop_depth: int = 0) -> int:
         """Table dispatch with the per-opcode histogram enabled.
 
-        Serves both ``table`` and ``chain`` dispatch in counting mode (the
-        two are parity-identical); ticks per instruction, observationally
+        Serves both dispatch modes in counting mode (they are
+        parity-identical); ticks per instruction, observationally
         identical to the batched flush when no periodic trigger is armed.
         """
         runtime = self.runtime

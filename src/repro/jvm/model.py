@@ -101,7 +101,7 @@ class JMethod:
 
     __slots__ = (
         "name", "nargs", "nlocals", "code", "native", "owner", "labels",
-        "fusible", "block_starts",
+        "block_starts",
     )
 
     def __init__(
@@ -123,13 +123,9 @@ class JMethod:
         self.native = native
         self.owner: Optional[JClass] = None
         self.labels: Dict[str, int] = {}
-        #: Superinstruction pair starts from the assembler's peephole pass
-        #: (None = not yet scanned; the closure compiler scans lazily for
-        #: hand-built methods that never went through the assembler).
-        self.fusible: Optional[Tuple[int, ...]] = None
         #: Basic-block leader pcs from the assembler's control-flow scan
-        #: (None = not yet scanned; the compiled tier's codegen scans lazily
-        #: for hand-built methods, mirroring ``fusible``).
+        #: (None = not yet scanned; the codegen scans lazily for hand-built
+        #: methods that never went through the assembler).
         self.block_starts: Optional[Tuple[int, ...]] = None
 
     @property

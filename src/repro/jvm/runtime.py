@@ -40,16 +40,16 @@ if False:  # pragma: no cover - typing-only (imported lazily to break a cycle)
     from ..core.collector import ContaminatedCollector
 
 TRACING_CHOICES = ("marksweep", "none", "generational", "train")
-DISPATCH_CHOICES = ("tiered", "compiled", "closure", "table", "chain")
+DISPATCH_CHOICES = ("tiered", "table")
 
 
 def default_dispatch() -> str:
-    """The default interpreter dispatch tier.
+    """The default interpreter dispatch mode.
 
-    ``tiered`` (profile-guided: closure tier until hot, then promotion to
-    the compiled tier) unless the ``REPRO_DISPATCH`` environment knob
+    ``tiered`` (profile-guided: closures until hot, then promotion to
+    generated code) unless the ``REPRO_DISPATCH`` environment knob
     overrides it — the CI dispatch-matrix job uses the knob to run the
-    whole tier-1 suite under each tier.  The value is validated against
+    whole tier-1 suite under each mode.  The value is validated against
     :data:`DISPATCH_CHOICES` by ``RuntimeConfig.__post_init__`` exactly
     like the kwarg path, so a typo'd env value fails at config load with
     a did-you-mean suggestion instead of silently misdispatching.
@@ -81,30 +81,26 @@ class RuntimeConfig:
     #: search every figure measures; "segregated" is the production-mode
     #: size-class allocator (opt-in, never used by the paper's tables).
     allocator: str = "next-fit"
-    #: Interpreter dispatch strategy: "tiered" (the default —
-    #: profile-guided: methods start in the closure tier with an
-    #: invocation + loop-backedge hotness counter and are promoted to the
-    #: compiled tier at a call boundary once hot), "compiled" (every
-    #: method compiled to generated Python source up front, with guarded
-    #: speculation and deopt to the closure tier; see
-    #: :mod:`repro.jvm.compiledcode`), "closure" (pre-bound zero-decode
-    #: closures with quickening and superinstruction fusion;
-    #: :mod:`repro.jvm.closurecode`), "table" (opcode-indexed handler
-    #: tuple) or "chain" (the original if/elif reference, kept for the
-    #: opcode-parity differential suite).  The ``REPRO_DISPATCH`` env var
-    #: overrides the default.
+    #: Interpreter dispatch strategy: "tiered" (the default — methods
+    #: start on pre-bound zero-decode closures with quickening,
+    #: :mod:`repro.jvm.closurecode`, under an invocation + loop-backedge
+    #: hotness counter, and are promoted at a call boundary once hot to
+    #: generated Python source with guarded speculation that deopts back
+    #: to the closures, :mod:`repro.jvm.compiledcode`) or "table" (the
+    #: opcode-indexed handler tuple — the oracle the opcode-parity suite
+    #: and the perfbench reference compare against).  The
+    #: ``REPRO_DISPATCH`` env var overrides the default.
     dispatch: str = field(default_factory=default_dispatch)
-    #: Tiered-dispatch promotion threshold: a method is promoted to the
-    #: compiled tier at its next call boundary once its hotness counter
-    #: (driver visits + backedges * promote_backedge_weight) reaches this
-    #: value.  Only consulted when ``dispatch == "tiered"``; both knobs
-    #: still enter :meth:`fingerprint` unconditionally because they are
-    #: part of the run's identity (promotion timing never changes
-    #: counters, but the knobs are config, not observation).
+    #: Tiered-dispatch promotion threshold: a method is promoted to
+    #: generated code at its next call boundary once its hotness counter
+    #: (driver visits + backedges *
+    #: ``Interpreter.PROMOTE_BACKEDGE_WEIGHT``) reaches this value; 1
+    #: codegens every method at its first visit.  Only consulted when
+    #: ``dispatch == "tiered"``; it still enters :meth:`fingerprint`
+    #: unconditionally because it is part of the run's identity
+    #: (promotion timing never changes counters, but the knob is config,
+    #: not observation).
     promote_after: int = 128
-    #: Weight of one loop backedge in the hotness counter (a tight loop
-    #: should get hot in a few iterations, not a few thousand visits).
-    promote_backedge_weight: int = 8
     #: Maintain a per-opcode execution histogram (``vm.op.*`` metrics).
     #: Purely observational — selects a counting dispatch loop but never
     #: changes a run's counters — so, like ``tracer``/``profile``, it is
@@ -118,7 +114,7 @@ class RuntimeConfig:
     #: Emit a :class:`~repro.obs.heartbeat.LiveSnapshot` to the spool
     #: every N mutator operations (``python -m repro inspect`` reads it).
     #: Pure op-counter cadence — snapshots fire at the same op counts
-    #: under every dispatch tier — and purely observational, so, like
+    #: under both dispatch modes — and purely observational, so, like
     #: ``tracer``/``profile``/``count_opcodes``, it is excluded from
     #: :meth:`fingerprint`.  Off (None) by default: the zero-cost tick
     #: paths stay bound exactly as before.
@@ -157,11 +153,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"promote_after must be >= 1, got {self.promote_after}"
             )
-        if self.promote_backedge_weight < 0:
-            raise ValueError(
-                "promote_backedge_weight must be >= 0, "
-                f"got {self.promote_backedge_weight}"
-            )
 
     def fingerprint(self) -> str:
         """Digest of every field that changes a run's *results*.
@@ -179,7 +170,6 @@ class RuntimeConfig:
             "allocator": self.allocator,
             "dispatch": self.dispatch,
             "promote_after": self.promote_after,
-            "promote_backedge_weight": self.promote_backedge_weight,
             "faults": self.faults.fingerprint() if self.faults is not None
                       else None,
         }

@@ -14,8 +14,8 @@ Design constraints, in order:
 
 * **Determinism.**  The cadence is pure op-counter arithmetic driven from
   :meth:`repro.jvm.runtime.Runtime.tick` — snapshots fire when ``ops``
-  crosses a multiple of ``heartbeat_every``, identically under every
-  dispatch tier.  Wall-clock fields (``time``, ``uptime_s``) are advisory
+  crosses a multiple of ``heartbeat_every``, identically under both
+  dispatch modes.  Wall-clock fields (``time``, ``uptime_s``) are advisory
   labels on the snapshot, never inputs to it, so arming a heartbeat
   leaves a run's counters bit-identical to a heartbeat-off run.
 * **Zero cost when off.**  ``heartbeat_every=None`` (the default) binds

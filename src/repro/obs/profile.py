@@ -40,13 +40,13 @@ PHASE_INTERPRET = "interpret"
 PHASE_CG_EVENTS = "cg-events"
 PHASE_MSA = "msa"
 PHASE_RECYCLE = "recycle-search"
-#: One-time closure compilation in the ``dispatch="closure"`` and
-#: ``dispatch="compiled"`` tiers — charged per method at first invocation,
-#: never on the hot loop.  (The compiled tier always builds the closure
-#: form first: it is the deopt target and owns the quickening cells.)
+#: One-time closure compilation under ``dispatch="tiered"`` — charged per
+#: method at first invocation, never on the hot loop.  (A promoted method
+#: always has its closure form built first: it is the deopt target and
+#: owns the quickening cells.)
 PHASE_COMPILE = "compile"
-#: One-time Python-source generation + ``exec`` in the
-#: ``dispatch="compiled"`` tier, charged separately from
+#: One-time Python-source generation + ``exec`` when tiered dispatch
+#: promotes (or recompiles) a method, charged separately from
 #: :data:`PHASE_COMPILE` so warmup cost decomposes into "closure compile"
 #: vs "codegen" — the bench harness's ``compile_ms`` column is the sum.
 PHASE_CODEGEN = "codegen"

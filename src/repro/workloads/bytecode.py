@@ -4,15 +4,14 @@ The SPEC-shaped workloads drive the runtime through the direct
 :class:`~repro.jvm.mutator.Mutator`, bypassing the interpreter entirely —
 perfect for CG measurements, useless for measuring dispatch cost.  The
 workloads here are real assembled bytecode executed by
-:meth:`Runtime.run`, so the chain/table/closure/compiled/tiered tiers
-differ on them.  They are the workloads behind the bench harness's
-cg-vs-table speedup ladder and the five-way parity differential
-tests.
+:meth:`Runtime.run`, so the table and tiered dispatch modes differ on
+them.  They are the workloads behind the bench harness's cg-vs-table
+speedup and the table-vs-tiered parity differential tests.
 
 * ``bc-arith`` — pure integer arithmetic and branching, zero allocation:
   dispatch overhead in isolation.
 * ``bc-list`` — linked-list build/traverse: ``new``/``putfield`` CG events
-  plus the ``load+getfield`` superinstruction on the hot walk.
+  plus a ``load``/``getfield`` pointer walk.
 * ``bc-calls`` — virtual calls over alternating receiver classes (inline-
   cache stress), statics, an object array, and a spawned allocator thread.
 
@@ -122,7 +121,7 @@ class BcLoop(BytecodeWorkload):
     entry = "BcLoop.main"
     base_iterations = 2200
 
-    # The compiled tier's best case, by construction: the inner loop body
+    # Generated code's best case, by construction: the inner loop body
     # and the helper method are long branchless load/const/arith/store
     # runs, which the codegen collapses to a few Python statements per
     # basic block with the operand stack never touching frame.stack.

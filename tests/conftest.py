@@ -22,7 +22,7 @@ def make_runtime(
 
     ``dispatch`` defaults to the ``REPRO_DISPATCH`` env knob (falling back
     to the runtime default), so CI can sweep the whole suite across the
-    chain/table/closure/compiled/tiered tiers without touching any test.
+    table and tiered dispatch modes without touching any test.
     """
     if cg is None:
         cg = CGPolicy(paranoid=paranoid, **cg_overrides)
@@ -38,6 +38,53 @@ def make_runtime(
     runtime = Runtime(config)
     define_test_classes(runtime.program)
     return runtime
+
+
+#: A ``promote_after`` no test program reaches: tiered then runs only its
+#: closure half (on cleared codegen caches — a warm cache promotes a
+#: method at its first visit whatever the threshold).
+NEVER_PROMOTE = 1_000_000
+
+#: ``(dispatch, promote_after)`` for every cross-dispatch parity leg: the
+#: ``table`` oracle, then ``tiered`` never promoting, promoting at each
+#: method's first visit, and at the default threshold.
+DISPATCH_LEGS = (
+    ("table", RuntimeConfig.promote_after),
+    ("tiered", NEVER_PROMOTE),
+    ("tiered", 1),
+    ("tiered", RuntimeConfig.promote_after),
+)
+
+
+def dispatch_sweep(run) -> dict:
+    """``{leg: outcome}`` over :data:`DISPATCH_LEGS`, ``"table"`` first.
+
+    ``run(dispatch, promote_after)`` builds and runs one runtime and
+    returns ``(outcome, runtime)``.  The never-promote leg starts on
+    cleared codegen caches and must promote nothing, so the closure half
+    really runs.
+    """
+    from repro.jvm.compiledcode import clear_codegen_caches
+
+    outcomes = {}
+    for dispatch, promote_after in DISPATCH_LEGS:
+        never = dispatch == "tiered" and promote_after == NEVER_PROMOTE
+        if never:
+            clear_codegen_caches()
+        outcome, runtime = run(dispatch, promote_after)
+        if never:
+            assert runtime.interpreter.methods_promoted == 0
+        leg = dispatch if dispatch == "table" else f"tiered@{promote_after}"
+        outcomes[leg] = outcome
+    return outcomes
+
+
+def assert_dispatch_parity(run) -> None:
+    """Every :func:`dispatch_sweep` leg's outcome equals the table oracle's."""
+    outcomes = dispatch_sweep(run)
+    reference = outcomes["table"]
+    for leg, outcome in outcomes.items():
+        assert outcome == reference, leg
 
 
 def define_test_classes(program: Program) -> None:

@@ -18,7 +18,11 @@ from repro import (
 from repro.faults import NativeCallFault, TrapFault
 from repro.jvm.model import JMethod
 from repro.obs.metrics import collect_runtime_metrics
-from tests.conftest import assert_clean, define_test_classes
+from tests.conftest import (
+    assert_clean,
+    assert_dispatch_parity,
+    define_test_classes,
+)
 
 
 def faulted_runtime(plan, cg=None, heap_words=1 << 14):
@@ -182,22 +186,21 @@ class TestInterpStepTrap:
 
 
 class TestFaultDispatchParity:
-    """Faults fire at identical instruction indices across dispatch tiers.
+    """Faults fire at identical instruction indices across dispatch legs.
 
-    The closure tier fuses superinstructions; the fault wrapper slices the
-    budget at the firing point, so a trap must never skid past a fused
-    pair — whatever the ``after`` index, all five tiers stop at exactly
-    the same instruction with the same fault_stats.  The compiled tier
-    adds generated multi-instruction traces: the budget slice must refuse
-    a trace it cannot finish and fall back to single-stepped closures so
-    the trap still lands on the exact index.  The tiered tier adds the
-    promotion boundary: the trap index must be unchanged whether it lands
-    before or after a method's promotion to the compiled tier.
+    The fault wrapper slices the budget at the firing point, so whatever
+    the ``after`` index, table and every tiered leg (see
+    ``tests.conftest.DISPATCH_LEGS``) stop at exactly the same instruction
+    with the same fault_stats.  Generated code runs multi-instruction
+    traces: the budget slice must refuse a trace it cannot finish and fall
+    back to single-stepped closures so the trap still lands on the exact
+    index.  Promotion adds a boundary: the trap index must be unchanged
+    whether it lands before or after a method's promotion.
     """
 
-    # Straight-line const+add blocks: plenty of fused pairs for the trap
-    # index to land in the middle of.
-    FUSED_LINE = (
+    # Straight-line load/const/add/store blocks: plenty of instruction
+    # pairs for the trap index to land in the middle of.
+    PAIRED_LINE = (
         MAIN
         + "    const 0\n    store 0\n"
         + "    load 0\n    const 1\n    add\n    store 0\n" * 12
@@ -215,8 +218,6 @@ class TestFaultDispatchParity:
         + "done:\n    load 0\n    retval\n"
     )
 
-    DISPATCHES = ("chain", "table", "closure", "compiled", "tiered")
-
     def run_faulted(self, source, plan, dispatch, heap_words=1 << 14,
                     **config_kwargs):
         program = assemble(source)
@@ -231,29 +232,25 @@ class TestFaultDispatchParity:
 
     @pytest.mark.parametrize("after", [1, 4, 5, 6, 17, 40])
     def test_trap_index_identical_across_tiers(self, after):
-        stops = {}
-        for dispatch in self.DISPATCHES:
+        def run(dispatch, promote_after):
             plan = FaultPlan([FaultSpec("interp.step", "trap", after=after)])
-            rt = self.run_faulted(self.FUSED_LINE, plan, dispatch)
+            rt = self.run_faulted(self.PAIRED_LINE, plan, dispatch,
+                                  promote_after=promote_after)
             with pytest.raises(TrapFault):
                 rt.run("Main.main")
-            stops[dispatch] = (
-                rt.interpreter.instructions_executed,
-                dict(rt.fault_stats),
-            )
             assert rt.interpreter.instructions_executed == after
-        assert stops["table"] == stops["chain"]
-        assert stops["closure"] == stops["table"]
-        assert stops["compiled"] == stops["table"]
-        assert stops["tiered"] == stops["table"]
+            return (rt.interpreter.instructions_executed,
+                    dict(rt.fault_stats)), rt
+
+        assert_dispatch_parity(run)
 
     @pytest.mark.parametrize("after", [3, 25, 120, 400])
     def test_trap_index_unchanged_across_promotion(self, after):
         # A hot loop under aggressive promotion (promote_after=2): early
-        # ``after`` values land while Main.main is still on the closure
-        # tier, late ones after it has been promoted to generated code.
+        # ``after`` values land while Main.main is still on closure
+        # slots, late ones after it has been promoted to generated code.
         # Either side of the boundary, the trap must land on exactly the
-        # same instruction index the chain tier stops at.
+        # same instruction index the table oracle stops at.
         hot_loop = (
             MAIN
             + "    const 0\n    store 0\n"
@@ -263,7 +260,7 @@ class TestFaultDispatchParity:
             + "done:\n    load 0\n    retval\n"
         )
         stops = {}
-        for dispatch in ("chain", "tiered"):
+        for dispatch in ("table", "tiered"):
             plan = FaultPlan([FaultSpec("interp.step", "trap", after=after)])
             rt = self.run_faulted(hot_loop, plan, dispatch,
                                   promote_after=2)
@@ -274,7 +271,7 @@ class TestFaultDispatchParity:
                 dict(rt.fault_stats),
             )
             assert rt.interpreter.instructions_executed == after
-        assert stops["tiered"] == stops["chain"]
+        assert stops["tiered"] == stops["table"]
         # Sanity on the scenario itself: the late trap indices really do
         # land after promotion (the early ones before it).
         rt_clean = self.run_faulted(hot_loop, FaultPlan([]), "tiered",
@@ -283,24 +280,21 @@ class TestFaultDispatchParity:
         assert rt_clean.interpreter.methods_promoted > 0
 
     def test_heap_alloc_cascade_identical_across_tiers(self):
-        outcomes = {}
-        for dispatch in self.DISPATCHES:
+        def run(dispatch, promote_after):
             plan = FaultPlan([FaultSpec("heap.alloc", "oom", after=5)])
             rt = self.run_faulted(self.ALLOC_LOOP, plan, dispatch,
-                                  heap_words=4096)
-            result = rt.run("Main.main")
-            assert result == 30
-            outcomes[dispatch] = (
+                                  heap_words=4096,
+                                  promote_after=promote_after)
+            assert rt.run("Main.main") == 30
+            assert rt.fault_stats["injected.heap.alloc"] == 1
+            return (
                 dict(rt.fault_stats),
                 rt.interpreter.instructions_executed,
                 rt.ops,
                 rt.collector.stats,
-            )
-            assert rt.fault_stats["injected.heap.alloc"] == 1
-        assert outcomes["table"] == outcomes["chain"]
-        assert outcomes["closure"] == outcomes["table"]
-        assert outcomes["compiled"] == outcomes["table"]
-        assert outcomes["tiered"] == outcomes["table"]
+            ), rt
+
+        assert_dispatch_parity(run)
 
 
 class TestNativeCallEscape:

@@ -211,8 +211,8 @@ class TestConfigValidation:
             RuntimeConfig(allocator="nxt-fit")
 
     def test_unknown_dispatch_suggests_close_match(self):
-        with pytest.raises(ValueError, match="did you mean 'chain'"):
-            RuntimeConfig(dispatch="chian")
+        with pytest.raises(ValueError, match="did you mean 'table'"):
+            RuntimeConfig(dispatch="tabel")
 
     def test_unknown_tracing_suggests_close_match(self):
         with pytest.raises(ValueError, match="did you mean 'marksweep'"):
@@ -226,24 +226,25 @@ class TestConfigValidation:
     def test_dispatch_mutated_after_construction_caught(self):
         # __post_init__ ran with a valid value; the (lazily built)
         # interpreter re-checks so the typo cannot fall through to some
-        # arbitrary tier silently.
+        # arbitrary mode silently.
         from repro import Runtime
 
         config = RuntimeConfig()
-        config.dispatch = "closures"
+        config.dispatch = "tables"
         rt = Runtime(config)
-        with pytest.raises(ValueError, match="did you mean 'closure'"):
+        with pytest.raises(ValueError, match="did you mean 'table'"):
             rt.interpreter
 
     def test_repro_dispatch_env_junk_rejected(self, monkeypatch):
-        # The env knob feeds the config default, so junk is caught by the
-        # same validation with the same suggestion.
-        monkeypatch.setenv("REPRO_DISPATCH", "compield")
-        with pytest.raises(ValueError, match="did you mean 'compiled'"):
+        # The env knob feeds the config default, so junk — including the
+        # names of deleted dispatch modes — is caught by the same
+        # validation.
+        monkeypatch.setenv("REPRO_DISPATCH", "compiled")
+        with pytest.raises(ValueError, match="dispatch must be one of"):
             RuntimeConfig()
 
     def test_repro_dispatch_env_tiered_typo_rejected(self, monkeypatch):
-        # The newest tier is in the registry the env knob validates
+        # The default mode is in the registry the env knob validates
         # against, so its typos get the same did-you-mean treatment.
         monkeypatch.setenv("REPRO_DISPATCH", "teired")
         with pytest.raises(ValueError, match="did you mean 'tiered'"):
@@ -252,8 +253,6 @@ class TestConfigValidation:
     def test_promotion_knobs_validated(self):
         with pytest.raises(ValueError, match="promote_after"):
             RuntimeConfig(promote_after=0)
-        with pytest.raises(ValueError, match="promote_backedge_weight"):
-            RuntimeConfig(promote_backedge_weight=-1)
 
 
 class TestConfigFingerprint:
@@ -261,22 +260,20 @@ class TestConfigFingerprint:
         base = RuntimeConfig()
         assert base.fingerprint() != RuntimeConfig(
             allocator="segregated").fingerprint()
-        # Explicit tiers, not the default: REPRO_DISPATCH may redefine it.
+        # Explicit modes, not the default: REPRO_DISPATCH may redefine it.
         assert RuntimeConfig(dispatch="table").fingerprint() != RuntimeConfig(
-            dispatch="chain").fingerprint()
+            dispatch="tiered").fingerprint()
         plan = FaultPlan.parse("heap.alloc:oom:after=7")
         assert base.fingerprint() != RuntimeConfig(
             faults=plan).fingerprint()
 
     def test_fingerprint_covers_promotion_knobs(self):
-        # Promotion timing never changes counters, but the knobs are
-        # config (run identity), not observation — they always enter the
-        # fingerprint, whatever the dispatch tier.
+        # Promotion timing never changes counters, but the threshold is
+        # config (run identity), not observation — it always enters the
+        # fingerprint, whatever the dispatch mode.
         base = RuntimeConfig()
         assert base.fingerprint() != RuntimeConfig(
             promote_after=7).fingerprint()
-        assert base.fingerprint() != RuntimeConfig(
-            promote_backedge_weight=3).fingerprint()
 
     def test_fingerprint_excludes_observers_and_heap(self):
         base = RuntimeConfig()

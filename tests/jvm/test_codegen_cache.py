@@ -46,8 +46,10 @@ def cache_dir(tmp_path):
 
 
 def run_compiled(**config_kwargs):
+    # promote_after=1: every method is codegenned at its first visit.
     config_kwargs.setdefault("cg", CGPolicy(paranoid=True))
-    rt = Runtime(RuntimeConfig(dispatch="compiled", **config_kwargs),
+    rt = Runtime(RuntimeConfig(dispatch="tiered", promote_after=1,
+                               **config_kwargs),
                  program=assemble(SOURCE))
     result = rt.run("Main.main", [])
     return result, rt
@@ -119,7 +121,7 @@ class TestKeying:
         assert _disk_key("Main.main", [(1, 9, None)], (8, 48)) != base
 
     def test_lifted_recompile_writes_a_second_entry(self, cache_dir):
-        # The tiered tier's adaptive recompile uses lifted caps, so its
+        # The tiered mode's adaptive recompile uses lifted caps, so its
         # entry must never collide with the default-caps one.
         rt = Runtime(RuntimeConfig(dispatch="tiered", promote_after=2,
                                    quantum=64, cg=CGPolicy(paranoid=True)),

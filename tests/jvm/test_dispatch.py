@@ -1,25 +1,21 @@
-"""Five-way dispatch parity: chain vs table vs closure vs compiled vs tiered.
+"""Dispatch parity: the ``table`` oracle vs ``tiered`` over a promotion sweep.
 
-The interpreter ships five dispatch tiers: the original if/elif chain
-(``dispatch="chain"``, the reference implementation), the opcode-indexed
-handler table (``"table"``), the closure-compiled tier (``"closure"``)
-with quickening and superinstruction fusion, the compiled tier
-(``"compiled"``) that lowers each method to generated Python source and
-deopts to closure slots at guard failures and quantum tails, and the
-tiered tier (``"tiered"``, the default) that starts every method on the
-closure tier and promotes it to the compiled tier at a call boundary
-once a hotness counter crosses ``promote_after``.  These tests run the
-same programs under all five and require identical results, instruction
-counts, and VM state — and the parity corpus must collectively exercise
-*every* opcode, so a new opcode cannot be added to one tier and
-forgotten in the others.
+The interpreter ships two dispatch modes: the opcode-indexed handler table
+(``dispatch="table"``), the oracle, and ``tiered`` (the default), which
+starts every method on pre-bound closures with quickening and promotes it
+at a call boundary, once a hotness counter crosses ``promote_after``, to
+generated Python source that deopts back to the closure slots at guard
+failures and quantum tails.  Every parity check runs tiered at
+``promote_after`` 1,000,000 on cold caches (the closure half alone), 1
+(generated code from each method's first visit) and the default 128, and
+requires results, instruction counts, and VM state identical to table —
+and the parity corpus must collectively exercise *every* opcode, so a new
+opcode cannot be added to one half and forgotten in the other.
 
-The closure tier gets extra scrutiny: quickening must rewrite slots
-in place without changing observable behaviour, and a fused
-superinstruction must never straddle a scheduler quantum (the budget-split
-logic falls back to the unfused closures at a slice boundary).  The
-compiled tier gets its own: deopt mid-block, deopt at a quantum boundary,
-and generated-code reuse across invocations must all be invisible.
+The closure half gets extra scrutiny: quickening must rewrite slots in
+place without changing observable behaviour.  The compiled half gets its
+own: deopt mid-block, deopt at a quantum boundary, and generated-code
+reuse across invocations must all be invisible.
 """
 
 import pytest
@@ -27,10 +23,14 @@ import pytest
 from repro import CGPolicy, Runtime, RuntimeConfig, assemble
 from repro.api import config_for
 from repro.jvm import bytecode as bc
+from repro.jvm.compiledcode import clear_codegen_caches
 from repro.jvm.errors import VerifyError
 from repro.workloads.base import get_workload
-
-DISPATCHES = ("chain", "table", "closure", "compiled", "tiered")
+from tests.conftest import (
+    NEVER_PROMOTE,
+    assert_dispatch_parity,
+    dispatch_sweep,
+)
 
 MAIN = "class Main\nmethod Main.main(0)\n"
 
@@ -131,14 +131,13 @@ def snapshot(rt):
 
 
 def assert_parity(source, args, expected, **config_kwargs):
-    snapshots = {}
-    for dispatch in DISPATCHES:
-        result, rt = run_one(source, args, dispatch, **config_kwargs)
+    def run(dispatch, promote_after):
+        result, rt = run_one(source, args, dispatch,
+                             promote_after=promote_after, **config_kwargs)
         assert result == expected, f"{dispatch}: {result} != {expected}"
-        snapshots[dispatch] = snapshot(rt)
-    reference = snapshots[DISPATCHES[0]]
-    for dispatch in DISPATCHES[1:]:
-        assert snapshots[dispatch] == reference, dispatch
+        return snapshot(rt), rt
+
+    assert_dispatch_parity(run)
 
 
 class TestOpcodeParity:
@@ -148,8 +147,8 @@ class TestOpcodeParity:
         assert_parity(source, args, expected)
 
     def test_parity_under_periodic_gc(self):
-        # gc_period_ops forces the per-instruction tick paths (no batching,
-        # no fusion for the closure tier), and periodic collections
+        # gc_period_ops forces the per-instruction tick paths (no batching;
+        # tiered runs its closure tick loop), and periodic collections
         # mid-program.
         source, args, expected = PARITY_PROGRAMS[2]
         assert_parity(source, args, expected, gc_period_ops=7,
@@ -168,14 +167,18 @@ class TestOpcodeParity:
         assert not missing, f"parity corpus never exercises: {missing}"
 
     def test_unknown_opcode_every_dispatch(self):
-        for dispatch in DISPATCHES:
+        def run(dispatch, promote_after):
             program = assemble(MAIN + "    const 1\n    retval\n")
             method = program.lookup("Main").methods["main"]
             method.code[0] = (bc.OP_COUNT + 5, None, None)
-            method.fusible = None  # stale: recompute from the patched code
-            rt = Runtime(RuntimeConfig(dispatch=dispatch), program=program)
+            rt = Runtime(RuntimeConfig(dispatch=dispatch,
+                                       promote_after=promote_after),
+                         program=program)
             with pytest.raises(VerifyError, match="unknown opcode"):
                 rt.run("Main.main", [])
+            return None, rt
+
+        dispatch_sweep(run)
 
 
 QUICKEN_SOURCE = (
@@ -193,11 +196,21 @@ QUICKEN_SOURCE = (
 )
 
 
+def run_closures(source, **config_kwargs):
+    """Tiered dispatch confined to its closure half (cold caches, a
+    threshold the program never reaches)."""
+    clear_codegen_caches()
+    result, rt = run_one(source, [], "tiered", promote_after=NEVER_PROMOTE,
+                         **config_kwargs)
+    assert rt.interpreter.methods_promoted == 0
+    return result, rt
+
+
 class TestQuickening:
     """First execution rewrites a slot with its specialized closure."""
 
     def test_slots_rewritten_after_first_execution(self):
-        result, rt = run_one(QUICKEN_SOURCE, [], "closure")
+        result, rt = run_closures(QUICKEN_SOURCE)
         assert result == 42 - 7
         method = rt.program.lookup("Main").methods["main"]
         compiled = rt.interpreter._ccache[method]
@@ -218,9 +231,7 @@ class TestQuickening:
     def test_rerun_reuses_quickened_code(self):
         # Second invocation goes straight through the rewritten slots and
         # must produce the same answer (the cache is per-method identity).
-        program = assemble(QUICKEN_SOURCE)
-        rt = Runtime(RuntimeConfig(dispatch="closure"), program=program)
-        first = rt.run("Main.main", [])
+        first, rt = run_closures(QUICKEN_SOURCE)
         method = rt.program.lookup("Main").methods["main"]
         compiled = rt.interpreter._ccache[method]
         slots_after_first = list(compiled.ccode)
@@ -238,12 +249,20 @@ class TestQuickening:
             + "    getstatic NoSuchClass.field\n"
             + "ok:\n    const 5\n    retval\n"
         )
-        for dispatch in DISPATCHES:
-            result, _ = run_one(source, [], dispatch)
+
+        def run(dispatch, promote_after):
+            result, rt = run_one(source, [], dispatch,
+                                 promote_after=promote_after)
             assert result == 5
+            return result, rt
+
+        dispatch_sweep(run)
 
 
-FUSIBLE_LOOP = (
+#: A hot loop dense in the two-instruction shapes a quantum split or a
+#: deopt can land between: ``load+getfield``, ``const+add``,
+#: ``load+load`` and ``{load,const}+if_icmp*``.
+PAIRS_LOOP = (
     "class Pair\nfield a\nfield b\n"
     + MAIN
     + "    new Pair\n    store 0\n"
@@ -253,7 +272,7 @@ FUSIBLE_LOOP = (
     + "    const 0\n    store 2\n"
     + "loop:\n"
     + "    load 1\n    const 200\n    if_icmpge done\n"
-    # load+getfield, const+add, load+load: all three fusion shapes, hot.
+    # load+getfield, const+add, load+load, hot.
     + "    load 0\n    getfield a\n"
     + "    load 2\n    add\n"
     + "    const 3\n    add\n"
@@ -267,31 +286,20 @@ FUSIBLE_LOOP = (
 
 
 class TestSuperinstructions:
-    def test_fusible_pairs_found(self):
-        program = assemble(FUSIBLE_LOOP)
-        method = program.lookup("Main").methods["main"]
-        assert method.fusible, "peephole pass found nothing to fuse"
+    """Quantum splits landing inside instruction pairs never skid."""
 
     @pytest.mark.parametrize("quantum", [1, 2, 3, 7, 100])
     def test_quantum_split_never_skids(self, quantum):
-        # A fused pair counts as two instructions; when the remaining
-        # budget is one, the plain closure must run instead.  Whatever the
-        # quantum, closure and table agree bit for bit.
-        expected = 200 * (11 + 3)
-        snapshots = {}
-        for dispatch in ("table", "closure", "compiled", "tiered"):
-            result, rt = run_one(FUSIBLE_LOOP, [], dispatch,
-                                 quantum=quantum)
-            assert result == expected
-            snapshots[dispatch] = snapshot(rt)
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        # Generated blocks are all-or-nothing against the budget; the tail
+        # of every quantum single-steps closure slots, so a split can land
+        # between the halves of any pair.  Whatever the quantum, every leg
+        # agrees with table bit for bit.
+        assert_parity(PAIRS_LOOP, [], 200 * (11 + 3), quantum=quantum)
 
     def test_quantum_split_with_threads(self):
         # Round-robin across a spawned allocator thread: the quantum
-        # boundary now also decides interleaving, so any skid past a fused
-        # pair would shift CG events between threads.
+        # boundary now also decides interleaving, so any skid past a
+        # split would shift CG events between threads.
         source = (
             "class Node\nfield next\n"
             + "class Worker\n"
@@ -312,71 +320,46 @@ class TestSuperinstructions:
             + "    iinc 0 1\n    goto loop\n"
             + "done:\n    load 1\n    retval\n"
         )
-        snapshots = {}
-        for dispatch in ("table", "closure", "compiled", "tiered"):
-            result, rt = run_one(source, [], dispatch, quantum=7,
-                                 heap_words=4096)
-            assert result == 300
-            snapshots[dispatch] = snapshot(rt)
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        assert_parity(source, [], 300, quantum=7, heap_words=4096)
+
+
+def assert_workload_parity(name):
+    def run(dispatch, promote_after):
+        wl = get_workload(name, seed=2000)
+        config = config_for("cg", wl.heap_words(1))
+        config.dispatch = dispatch
+        config.promote_after = promote_after
+        rt = Runtime(config)
+        wl.execute(rt, 1)
+        return (
+            rt.collector.stats,
+            rt.collector.final_census(),
+            rt.interpreter.instructions_executed,
+            rt.heap.occupancy(),
+            rt.ops,
+        ), rt
+
+    assert_dispatch_parity(run)
 
 
 class TestWorkloadDifferential:
-    """Full workloads under all dispatch configs must agree exactly."""
+    """Full workloads under every dispatch leg must agree exactly."""
 
     @pytest.mark.parametrize("name", ["jess", "raytrace"])
     def test_workload_identical(self, name):
-        snapshots = {}
-        for dispatch in DISPATCHES:
-            wl = get_workload(name, seed=2000)
-            config = config_for("cg", wl.heap_words(1))
-            config.dispatch = dispatch
-            rt = Runtime(config)
-            wl.execute(rt, 1)
-            snapshots[dispatch] = (
-                rt.collector.stats,
-                rt.collector.final_census(),
-                rt.interpreter.instructions_executed,
-                rt.heap.occupancy(),
-                rt.ops,
-            )
-        assert snapshots["table"] == snapshots["chain"]
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        assert_workload_parity(name)
 
     @pytest.mark.parametrize(
         "name", ["bc-arith", "bc-list", "bc-calls", "bc-loop"])
     def test_bytecode_workload_identical(self, name):
         # The bc-* workloads are pure assembled bytecode, so every executed
         # instruction flows through the dispatch loop under test.
-        snapshots = {}
-        for dispatch in DISPATCHES:
-            wl = get_workload(name, seed=2000)
-            config = config_for("cg", wl.heap_words(1))
-            config.dispatch = dispatch
-            rt = Runtime(config)
-            wl.execute(rt, 1)
-            snapshots[dispatch] = (
-                rt.collector.stats,
-                rt.collector.final_census(),
-                rt.interpreter.instructions_executed,
-                rt.heap.occupancy(),
-                rt.ops,
-            )
-        assert snapshots["table"] == snapshots["chain"]
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        assert_workload_parity(name)
 
 
 POLY_SOURCE = (
     # Two unrelated receiver classes at one invokevirtual site: the
-    # compiled tier's monomorphic class guard fails on every other call,
+    # generated code's monomorphic class guard fails on every other call,
     # deopting to the closure slots mid-block at the current pc.
     "class Square\n"
     + "method Square.area(1)\n    const 4\n    retval\n"
@@ -407,13 +390,13 @@ class TestCompiledDeopt:
     def test_polymorphic_guard_deopt_mid_block(self):
         # The call site alternates Square/Circle, so whichever class the
         # site quickens to, half the calls fail the guard and finish the
-        # block on the closure tier.  All five tiers still agree exactly.
+        # block on closure slots.  Every leg still agrees exactly.
         assert_parity(POLY_SOURCE, [], POLY_EXPECTED)
 
     def test_deopt_site_stays_on_generated_code(self):
         # A failed guard deopts *that execution*, not the method: the
         # cached PyCompiledMethod must survive the polymorphic site.
-        result, rt = run_one(POLY_SOURCE, [], "compiled")
+        result, rt = run_one(POLY_SOURCE, [], "tiered", promote_after=1)
         assert result == POLY_EXPECTED
         method = rt.program.lookup("Main").methods["main"]
         assert method in rt.interpreter._pycache
@@ -426,36 +409,23 @@ class TestCompiledDeopt:
         # Tiny quanta force the driver's closure tail at nearly every
         # block boundary, so deopted instructions and generated-code
         # instructions interleave within a single slice.  Tick totals and
-        # heap state still match the table tier bit for bit.
-        snapshots = {}
-        for dispatch in ("table", "closure", "compiled", "tiered"):
-            result, rt = run_one(POLY_SOURCE, [], dispatch, quantum=quantum)
-            assert result == POLY_EXPECTED
-            snapshots[dispatch] = snapshot(rt)
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        # heap state still match the table oracle bit for bit.
+        assert_parity(POLY_SOURCE, [], POLY_EXPECTED, quantum=quantum)
 
     def test_deopt_at_fused_pair_boundary(self):
-        # The deopt target is the *unfused* closure form: landing between
-        # the halves of what the closure tier would fuse must not skid.
-        snapshots = {}
-        for dispatch in ("table", "closure", "compiled", "tiered"):
-            result, rt = run_one(FUSIBLE_LOOP, [], dispatch, quantum=1)
-            assert result == 200 * (11 + 3)
-            snapshots[dispatch] = snapshot(rt)
-        assert snapshots["closure"] == snapshots["table"]
-        assert snapshots["compiled"] == snapshots["table"]
-        assert snapshots["tiered"] == snapshots["table"]
+        # The deopt target is the closure form, one slot per instruction:
+        # a single-instruction quantum lands every deopt between the
+        # halves of a pair, which must not skid.
+        assert_parity(PAIRS_LOOP, [], 200 * (11 + 3), quantum=1)
 
     def test_codegen_cache_shared_across_runtimes(self):
         # Identical bytecode in a fresh runtime reuses the cached
         # generated source and code object; only the quickening-cell
         # bindings are rebuilt per runtime.
-        result1, rt1 = run_one(POLY_SOURCE, [], "compiled")
+        result1, rt1 = run_one(POLY_SOURCE, [], "tiered", promote_after=1)
         m1 = rt1.program.lookup("Main").methods["main"]
         comp1 = rt1.interpreter._pycache[m1]
-        result2, rt2 = run_one(POLY_SOURCE, [], "compiled")
+        result2, rt2 = run_one(POLY_SOURCE, [], "tiered", promote_after=1)
         m2 = rt2.program.lookup("Main").methods["main"]
         comp2 = rt2.interpreter._pycache[m2]
         assert result1 == result2 == POLY_EXPECTED
@@ -488,7 +458,7 @@ class TestTieredPromotion:
     def test_promotion_boundary_parity(self, promote_after):
         # Sweep the threshold across "promote on first visit", "promote
         # mid-run", and "never promote": counters must be bit-identical
-        # to the table tier at every boundary.
+        # to the table oracle at every boundary.
         ref_result, ref_rt = run_one(HOT_LOOP, [], "table")
         assert ref_result == HOT_EXPECTED
         result, rt = run_one(HOT_LOOP, [], "tiered",
@@ -501,7 +471,7 @@ class TestTieredPromotion:
         assert result == HOT_EXPECTED
         interp = rt.interpreter
         assert interp.methods_promoted > 0
-        # Promoted methods live in the compiled-tier cache; the callee
+        # Promoted methods live in the generated-code cache; the callee
         # Main.step is called 120 times so it must be among them.
         step = rt.program.lookup("Main").methods["step"]
         assert step in interp._pycache
@@ -510,8 +480,6 @@ class TestTieredPromotion:
         # "Cold" means cold caches too: a warm codegen cache would
         # short-circuit the threshold (promotion is free on a hit), so
         # drop it to observe the pure profile-gated behaviour.
-        from repro.jvm.compiledcode import clear_codegen_caches
-
         clear_codegen_caches()
         result, rt = run_one(HOT_LOOP, [], "tiered", promote_after=1_000_000)
         assert result == HOT_EXPECTED
@@ -579,7 +547,7 @@ class TestTieredPromotion:
     def test_adaptive_recompile_fires_on_clean_methods(self):
         # Enough driver visits with zero deopts triggers the one-shot
         # lifted-caps recompile; counters stay identical to the table
-        # tier and the recompiled flag is recorded.
+        # oracle and the recompiled flag is recorded.
         source = (
             MAIN
             + "    const 0\n    store 0\n    const 0\n    store 1\n"

@@ -60,6 +60,15 @@ class TestMetricsSurface:
         assert snapshot["vm.compile.promoted"] == 0
         assert snapshot["vm.compile.methods"] > 0  # closure tier still compiles
 
+    def test_compiled_system_promotes_every_method(self):
+        # cg-compiled is tiered at promote_after=1: on cold caches every
+        # method it compiles to closures is codegenned at its first visit.
+        counters = execute(RunRequest("bc-calls", 1, "cg-compiled",
+                                      cold_start=True)).metrics["counters"]
+        assert counters["vm.compile.methods"] > 0
+        assert (counters["vm.compile.promoted"]
+                == counters["vm.compile.methods"])
+
     def test_unstarted_runtime_has_no_compile_metrics(self):
         # No interpreter yet -> the compile block is absent, not zeroed.
         rt = Runtime(RuntimeConfig())

@@ -4,8 +4,8 @@ The heartbeat is the live counterpart of the crash dump: every
 ``heartbeat_every`` executed opcodes the runtime serializes a
 :class:`LiveSnapshot` into a bounded spool ring.  The contract under test:
 
-* beats fire at *exact* op counts, identically under all five dispatch
-  tiers (arming a heartbeat forces the per-instruction tick loops, same
+* beats fire at *exact* op counts, identically under both dispatch
+  modes (arming a heartbeat forces the per-instruction tick loops, same
   discipline as ``gc_period_ops``);
 * arming a heartbeat leaves every determinism counter bit-identical to a
   heartbeat-off run — observation must not perturb the experiment;
@@ -33,7 +33,7 @@ from repro.obs.heartbeat import (
     runtime_snapshot,
 )
 
-DISPATCHES = ("chain", "table", "closure")
+DISPATCHES = ("table", "tiered")
 
 #: ~8 ops per iteration plus prologue; allocates a Node each lap so the
 #: heap/equilive sections of the snapshot are non-trivial.
@@ -101,13 +101,12 @@ class TestCadence:
             schedules[dispatch] = [
                 (s["seq"], s["ops"], s["phase"]) for s in spools[-1]
             ]
-        assert schedules["table"] == schedules["chain"]
-        assert schedules["closure"] == schedules["chain"]
+        assert schedules["tiered"] == schedules["table"]
 
     def test_beats_fire_alongside_periodic_gc(self, tmp_path):
         # gc_period and heartbeat share the per-op tick path; both triggers
         # must keep firing when armed together.
-        rt = run_loop(400, "closure", tmp_path, every=128, gc_period_ops=256)
+        rt = run_loop(400, "tiered", tmp_path, every=128, gc_period_ops=256)
         assert rt.collector is None or rt.ops > 0
         _, spools = read_spool(tmp_path)
         live = [s for s in spools[-1] if s["phase"] == "live"]
@@ -154,13 +153,13 @@ class TestDeterminism:
 
 class TestSpoolHygiene:
     def test_ring_bounded(self, tmp_path):
-        run_loop(3000, "closure", tmp_path, every=10)
+        run_loop(3000, "tiered", tmp_path, every=10)
         _, spools = read_spool(tmp_path)
         assert 0 < len(spools[-1]) <= DEFAULT_RING
 
     def test_custom_ring_size(self, tmp_path):
         hb = Heartbeat(every=1, spool=tmp_path, ring=3)
-        rt = run_loop(50, "closure")
+        rt = run_loop(50, "tiered")
         for _ in range(10):
             hb.beat(rt)
         hb.close(rt)
@@ -169,7 +168,7 @@ class TestSpoolHygiene:
         assert spools[-1][-1]["phase"] == "final"
 
     def test_run_files_pruned_per_pid(self, tmp_path):
-        rt = run_loop(50, "closure")
+        rt = run_loop(50, "tiered")
         for _ in range(MAX_RUN_FILES + 5):
             hb = Heartbeat(every=1, spool=tmp_path)
             hb.beat(rt)
@@ -180,7 +179,7 @@ class TestSpoolHygiene:
 
     def test_close_is_idempotent(self, tmp_path):
         hb = Heartbeat(every=1, spool=tmp_path)
-        rt = run_loop(50, "closure")
+        rt = run_loop(50, "tiered")
         hb.close(rt)
         hb.close(rt)
         _, spools = read_spool(tmp_path)
@@ -193,7 +192,7 @@ class TestSpoolHygiene:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         hb = Heartbeat(every=1, spool=blocker / "deep" / "spool")
-        rt = run_loop(50, "closure")
+        rt = run_loop(50, "tiered")
         hb.beat(rt)
         hb.close(rt)
 
@@ -208,7 +207,7 @@ class TestSocket:
         server.setblocking(False)
         try:
             hb = Heartbeat(every=1, spool=tmp_path, socket_path=path)
-            rt = run_loop(50, "closure")
+            rt = run_loop(50, "tiered")
             hb.beat(rt)
             hb.close(rt)
             datagrams = []
@@ -226,7 +225,7 @@ class TestSocket:
 
 class TestSharedSchema:
     def test_snapshot_shape(self):
-        rt = run_loop(200, "closure")
+        rt = run_loop(200, "tiered")
         snap = LiveSnapshot.capture(rt, seq=7, phase="live",
                                     labels={"workload": "loop"})
         data = snap.data
@@ -242,7 +241,7 @@ class TestSharedSchema:
         json.dumps(data)  # fully serializable
 
     def test_crash_dump_builds_on_same_serializer(self):
-        rt = run_loop(200, "closure")
+        rt = run_loop(200, "tiered")
         dump = CrashDump.capture(rt, reason="test", site="heap.alloc")
         base = runtime_snapshot(rt)
         assert dump.data["schema"] == SNAPSHOT_SCHEMA

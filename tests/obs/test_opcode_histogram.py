@@ -34,7 +34,7 @@ done:
     retval
 """
 
-DISPATCHES = ("chain", "table", "closure")
+DISPATCHES = ("table", "tiered")
 
 
 def counted_runtime(dispatch, count_opcodes=True):
@@ -61,7 +61,7 @@ class TestHistogramTotals:
 
     @pytest.mark.parametrize("dispatch", DISPATCHES)
     def test_histograms_identical_across_tiers(self, dispatch):
-        reference = counted_runtime("chain")
+        reference = counted_runtime("table")
         reference.run("Main.main", [10])
         rt = counted_runtime(dispatch)
         rt.run("Main.main", [10])
@@ -69,7 +69,7 @@ class TestHistogramTotals:
                 == reference.interpreter.opcode_histogram())
 
     def test_disabled_means_no_counts(self):
-        rt = counted_runtime("closure", count_opcodes=False)
+        rt = counted_runtime("tiered", count_opcodes=False)
         rt.run("Main.main", [5])
         assert rt.interpreter.op_counts is None
         assert rt.interpreter.opcode_histogram() == {}
@@ -77,14 +77,14 @@ class TestHistogramTotals:
 
 class TestHistogramExport:
     def test_metrics_registry_gains_vm_op(self):
-        rt = counted_runtime("closure")
+        rt = counted_runtime("tiered")
         rt.run("Main.main", [8])
         reg = collect_runtime_metrics(rt)
         hist = reg.histograms["vm.op"]
         assert sum(hist.values()) == reg.counters["vm.ops"]
 
     def test_metrics_registry_clean_when_disabled(self):
-        rt = counted_runtime("closure", count_opcodes=False)
+        rt = counted_runtime("tiered", count_opcodes=False)
         rt.run("Main.main", [8])
         reg = collect_runtime_metrics(rt)
         assert "vm.op" not in reg.histograms

@@ -3,8 +3,9 @@
 The server workload is the repo's stand-in for the paper's ch. 4.2 claim
 (CG suits long-running servers).  What these tests pin:
 
-* the run is deterministic — repeat runs and all five dispatch tiers
-  produce bit-identical CG counters;
+* the run is deterministic — repeat runs and every dispatch leg (the
+  table oracle and tiered across a promotion sweep) produce
+  bit-identical CG counters;
 * arrival schedules are seeded and pattern-shaped (integer arithmetic
   only, so the schedule replays anywhere);
 * the escape-rate knob moves exactly the static-census needle it claims
@@ -25,8 +26,7 @@ from repro.workloads.server import (
     SIZE_REQUESTS,
     arrival_gaps,
 )
-
-DISPATCH_TIERS = ("chain", "table", "closure", "compiled")
+from tests.conftest import assert_dispatch_parity
 
 
 def counters_of(result):
@@ -42,13 +42,14 @@ def counters_of(result):
     }
 
 
-def tier_run(dispatch, requests=120):
+def tier_run(dispatch, promote_after, requests=120):
     wl = get_workload("server", params={"requests": requests})
     rt = Runtime(RuntimeConfig(
         heap_words=wl.heap_words(0),
         cg=CGPolicy.paper_default(),
         tracing="marksweep",
         dispatch=dispatch,
+        promote_after=promote_after,
     ))
     wl.execute(rt, 0)
     rt.check_heap_accounting()
@@ -59,7 +60,7 @@ def tier_run(dispatch, requests=120):
         "created": rt.collector.stats.objects_created,
         "popped": rt.collector.stats.objects_popped,
         "gc_cycles": rt.tracing.work.cycles,
-    }
+    }, rt
 
 
 class TestDeterminism:
@@ -77,10 +78,9 @@ class TestDeterminism:
         assert profiled.latency["requests"] == 150
 
     def test_all_four_dispatch_tiers_bit_identical(self):
-        runs = {tier: tier_run(tier) for tier in DISPATCH_TIERS}
-        baseline = runs["chain"]
-        for tier in DISPATCH_TIERS[1:]:
-            assert runs[tier] == baseline, tier
+        # The four legs: table, then tiered on closures only, promoting at
+        # each method's first visit, and at the default threshold.
+        assert_dispatch_parity(tier_run)
 
     def test_seed_changes_the_run(self):
         a = run("server", system="cg", requests=150, seed=2000)

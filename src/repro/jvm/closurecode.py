@@ -359,8 +359,10 @@ def _compile_one(interp, runtime, ccode, quick, pc, op, a, b) -> Callable:
         spawn = _h_spawn
 
         def op_spawn(frame, thread):
+            # A successful spawn ends the slice by raising SliceEnd, which
+            # unwinds the dispatch loop's local pc: store the resume pc first.
+            frame.pc = nxt
             spawn(interp, runtime, thread, frame, a, b)
-            return nxt
         return op_spawn
 
     if op == bc.ADD:

@@ -141,8 +141,11 @@ class CallStack:
         return self.frames[-2] if len(self.frames) >= 2 else None
 
     def push(self, method: Optional[JMethod], nlocals: int = 0) -> Frame:
+        ids = self._ids
+        frame_id = ids._next
+        ids._next = frame_id + 1
         frame = Frame(
-            self._ids.next_id(), len(self.frames), self.thread_id, method, nlocals
+            frame_id, len(self.frames), self.thread_id, method, nlocals
         )
         self.frames.append(frame)
         return frame
@@ -165,12 +168,8 @@ class FrameIdSource:
     """
 
     def __init__(self) -> None:
+        #: The next id to hand out (:meth:`CallStack.push` advances it).
         self._next = 1
-
-    def next_id(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
 
     @property
     def issued(self) -> int:

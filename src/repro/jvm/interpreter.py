@@ -18,11 +18,15 @@ with guard-protected speculation that deopts back to the closures
 (:mod:`repro.jvm.compiledcode`).
 
 Threading: :meth:`Interpreter.run_program` drives the deterministic
-round-robin scheduler — each runnable thread executes up to a quantum of
-instructions before rotating, so cross-thread sharing (section 3.3) is both
-exercised and reproducible.  Native methods run inline in the invoking
-thread; when native code calls back into Java (``NativeEnv.call``), the
-callee runs synchronously on the same thread via :meth:`call_sync`.
+round-robin scheduler — while two or more threads are runnable, each
+executes up to a quantum of instructions before rotating, so cross-thread
+sharing (section 3.3) is both exercised and reproducible.  A thread that
+runs alone gets :data:`Interpreter.LONE_SLICE_QUANTA` quanta per dispatch
+call, cut short (:class:`SliceEnd`) at the instruction that makes a second
+thread runnable, so the schedule is the per-quantum one exactly.  Native
+methods run inline in the invoking thread; when native code calls back
+into Java (``NativeEnv.call``), the callee runs synchronously on the same
+thread via :meth:`call_sync`.
 """
 
 from __future__ import annotations
@@ -45,6 +49,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Sentinel for "this method returned no value".
 VOID = object()
+
+
+class SliceEnd(Exception):
+    """A second thread just became runnable: end the scheduling slice.
+
+    Raised once the instruction that caused it (a ``spawn``, or an invoke
+    of a native whose callback spawned) has fully executed and its resume
+    pc is stored in the frame.  Every dispatch loop catches it and returns
+    the instructions retired so far; :meth:`Interpreter.run_program` then
+    finishes the quantum the slice was in, so rotation lands where
+    per-quantum slicing would put it.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +230,10 @@ def _h_retval(interp, runtime, thread, frame, a, b):
 
 
 def _h_spawn(interp, runtime, thread, frame, a, b):
-    stack = frame.stack
     nargs = b if b is not None else 1
+    if nargs < 1:
+        raise VerifyError("spawn needs a receiver")
+    stack = frame.stack
     args = [stack.pop() for _ in range(nargs)][::-1]
     receiver = args[0]
     if receiver is None:
@@ -238,6 +256,7 @@ def _h_spawn(interp, runtime, thread, frame, a, b):
                 runtime.collector.pin_static(arg, CAUSE_SHARED)
     new_thread = runtime.new_thread()
     interp._push_frame(new_thread, method, args)
+    raise SliceEnd
 
 
 def _h_add(interp, runtime, thread, frame, a, b):
@@ -433,6 +452,11 @@ class Interpreter:
         #: instead of the caller's operand stack (native callbacks).
         self._sync_marks: Dict[int, List[int]] = {}
         self._sync_results: Dict[int, object] = {}
+        #: The call path's one runtime call per frame push and per pop.
+        self._runtime_push = runtime.push_frame
+        self._runtime_pop = runtime.pop_frame
+        #: The scheduler's registration list (grows on every new thread).
+        self._threads: List[JThread] = runtime.scheduler._threads
         config = runtime.config
         #: Per-opcode execution histogram (``count_opcodes`` mode only).
         self.count_ops: bool = config.count_opcodes
@@ -529,15 +553,33 @@ class Interpreter:
     # Entry points
     # ------------------------------------------------------------------
 
+    #: Quanta a thread runs per dispatch call while no other thread is
+    #: runnable.  Its schedule is the per-quantum one (a :class:`SliceEnd`
+    #: cuts the slice where a second thread appears, and the quantum is
+    #: then finished); 1 re-enters the dispatch loop every quantum.  Kept
+    #: small: budget arithmetic stays on ints below 2**30 (CPython's
+    #: single-digit longs, the fast ones), and ``runtime.ops`` is never
+    #: more than one slice stale.
+    LONE_SLICE_QUANTA = 64
+
     def run_program(self, qualified: str, args: List[object]) -> object:
-        """Run ``qualified`` on the main thread; interleave spawned threads."""
+        """Run ``qualified`` on the main thread; interleave spawned threads.
+
+        While two or more threads are runnable each runs one quantum, then
+        the round-robin rotates; a thread running alone runs
+        :data:`LONE_SLICE_QUANTA` quanta per ``step_n`` call.  A slice cut
+        short by :class:`SliceEnd` is topped up to its quantum boundary
+        before rotating, so every thread retires exactly the instructions
+        it would under one ``step_n`` call per quantum.
+        """
         runtime = self.runtime
         self._push_call(runtime.main_thread, qualified, args)
-        scheduler = runtime.scheduler
         quantum = runtime.config.quantum
+        lone = quantum * self.LONE_SLICE_QUANTA
         step_n = self.step_n
-        next_thread = scheduler.next_thread
-        threads = scheduler._threads
+        next_thread = runtime.scheduler.next_thread
+        runnable = runtime.scheduler.runnable
+        threads = self._threads
         while True:
             # Sole-thread fast path: with one registered thread the
             # round-robin probe always lands on it with the cursor pinned
@@ -548,11 +590,22 @@ class Interpreter:
                 thread = threads[0]
                 if not (thread.alive and thread.stack.frames):
                     break
+                budget = lone
             else:
                 thread = next_thread()
                 if thread is None:
                     break
-            step_n(thread, quantum)
+                # With one runnable thread next_thread() lands on it
+                # every time and leaves the cursor where one call leaves
+                # it, so a lone slice is as good as its quanta.
+                budget = lone if len(runnable()) == 1 else quantum
+            executed = step_n(thread, budget)
+            frames = thread.stack.frames
+            # Short of a quantum boundary with frames left: a SliceEnd cut
+            # the slice, so finish its quantum (repeating if another
+            # SliceEnd cuts the top-up) before rotating.
+            while executed % quantum and frames:
+                executed += step_n(thread, quantum - executed % quantum)
         return runtime.main_thread.result
 
     def call_sync(self, thread: JThread, qualified: str,
@@ -589,7 +642,7 @@ class Interpreter:
         return self._push_frame(thread, method, list(args))
 
     def _push_frame(self, thread: JThread, method: JMethod, args: List[object]):
-        frame = self.runtime.push_frame(thread, method, nlocals=method.nlocals)
+        frame = self._runtime_push(thread, method, method.nlocals)
         for i, value in enumerate(args):
             frame.locals[i] = value
         return frame
@@ -615,7 +668,7 @@ class Interpreter:
         return result
 
     def _return(self, thread: JThread, value: object) -> None:
-        frame = self.runtime.pop_frame(thread)
+        frame = self._runtime_pop(thread)
         marks = self._sync_marks.get(thread.thread_id)
         if marks and marks[-1] == frame.depth:
             marks.pop()
@@ -680,26 +733,29 @@ class Interpreter:
     def step_n(self, thread: JThread, budget: int, stop_depth: int = 0) -> int:
         """Execute up to ``budget`` instructions on ``thread``.
 
-        Returns the number of instructions actually executed (less than the
-        budget when the thread's stack drains down to ``stop_depth`` — used
-        by :meth:`call_sync` so a native callback doesn't run past its own
-        caller's frame).
+        Returns the number of instructions actually executed: less than
+        the budget when the thread's stack drains down to ``stop_depth``
+        (used by :meth:`call_sync` so a native callback doesn't run past
+        its own caller's frame) or when a :class:`SliceEnd` ends the
+        slice.  ``budget`` is one quantum, one lone slice
+        (:data:`LONE_SLICE_QUANTA` quanta), a quantum's top-up, or a
+        ``call_sync`` chunk.
         """
         runtime = self.runtime
         executed = 0
         frames = thread.stack.frames
         profiler = runtime.profiler
         if profiler.enabled:
-            # One clock pair per quantum, attributed to the entry depth —
+            # One clock pair per call, attributed to the entry depth —
             # the per-depth profile is a poor man's flamegraph over the
-            # shadow stack at quantum resolution, not per instruction.
+            # shadow stack at slice resolution, not per instruction.
             profile_started = perf_counter()
             profile_depth = len(frames)
         handlers = _HANDLERS
         op_count = bc.OP_COUNT
         if not runtime._tick_per_op:
             # No periodic-GC trigger or heartbeat: ``tick`` is pure
-            # accounting, so charge the whole quantum in one call instead
+            # accounting, so charge the whole slice in one call instead
             # of once per instruction.
             # Implicit end-of-code returns are not ticked (matching the
             # per-instruction loop below, which ticks only decoded
@@ -724,25 +780,30 @@ class Interpreter:
                     if op >= op_count or op < 0:
                         raise VerifyError(f"unknown opcode {op}")
                     handlers[op](self, runtime, thread, frame, a, b)
+            except SliceEnd:
+                pass
             finally:
                 if ticked:
                     runtime.tick(ticked)
         else:
-            while executed < budget and len(frames) > stop_depth:
-                frame = frames[-1]
-                code = frame.method.code
-                pc = frame.pc
-                if pc >= len(code):
-                    self._return(thread, VOID)
+            try:
+                while executed < budget and len(frames) > stop_depth:
+                    frame = frames[-1]
+                    code = frame.method.code
+                    pc = frame.pc
+                    if pc >= len(code):
+                        self._return(thread, VOID)
+                        executed += 1
+                        continue
+                    op, a, b = code[pc]
+                    frame.pc = pc + 1
                     executed += 1
-                    continue
-                op, a, b = code[pc]
-                frame.pc = pc + 1
-                executed += 1
-                runtime.tick()
-                if op >= op_count or op < 0:
-                    raise VerifyError(f"unknown opcode {op}")
-                handlers[op](self, runtime, thread, frame, a, b)
+                    runtime.tick()
+                    if op >= op_count or op < 0:
+                        raise VerifyError(f"unknown opcode {op}")
+                    handlers[op](self, runtime, thread, frame, a, b)
+            except SliceEnd:
+                pass
         self.instructions_executed += executed
         if profiler.enabled:
             elapsed = perf_counter() - profile_started
@@ -906,7 +967,7 @@ class Interpreter:
         the driving budget could never pass the generated all-or-nothing
         budget guard and would deopt to closure slots forever.  The
         *block* cap deliberately stays at ``MAX_BLOCK``: it is the
-        refusal granularity, and every quantum boundary runs up to a
+        refusal granularity, and every slice boundary runs up to a
         block's worth of instructions through closure slots twice (the
         refused tail, then the mid-block catch-up at the next visit), so
         doubling it measurably pushes ~10% of a tight kernel's
@@ -940,11 +1001,13 @@ class Interpreter:
         Cold methods run the closure inner loop, ``pc = ccode[pc](frame,
         thread)``, while a hotness score accumulates: +1 per driver
         visit, +:data:`PROMOTE_BACKEDGE_WEIGHT` per backward branch
-        observed in the segment.  When the score reaches
-        ``promote_after``, the method is promoted at its next call
-        boundary: codegenned, then entered through its generated ``run``
-        at every leader pc, with the closure slots single-stepping the
-        deopt path and each quantum's tail.  A promoted method that stays
+        observed in the segment.  A segment stops at the backedge that
+        brings the score to ``promote_after``, and the method is promoted
+        at its next visit: codegenned, then entered through its
+        generated ``run`` at every leader pc, with the closure slots
+        single-stepping the deopt path and each slice's tail.  (Stopping
+        there keeps promotion independent of slice length: a loop shorter
+        than one lone slice is promoted too.)  A promoted method that stays
         deopt-free for :data:`RECOMPILE_AFTER_VISITS` visits is
         recompiled once with lifted trace caps (:meth:`_recompile_lifted`).
 
@@ -1013,7 +1076,9 @@ class Interpreter:
                         hot.pop(method, None)
                         self.methods_promoted += 1
                     elif comp is None:
-                        # Cold: closure inner loop + backedge profiling.
+                        # Cold: closure inner loop + backedge profiling,
+                        # stopping at the backedge that brings the score
+                        # to the threshold so the next visit promotes.
                         cm = ccache.get(method) or compiled_for(method)
                         ccode = cm.ccode
                         pc = frame.pc
@@ -1024,6 +1089,7 @@ class Interpreter:
                         limit = budget - executed
                         n = 0
                         back = 0
+                        hot_at = (threshold - score + bweight - 1) // bweight
                         try:
                             while n < limit:
                                 n += 1
@@ -1035,13 +1101,16 @@ class Interpreter:
                                     break
                                 if pc <= prev:
                                     back += 1
+                                    if back == hot_at:
+                                        break
                         finally:
+                            # Also on a SliceEnd out of the segment.
                             executed += n
+                            if back:
+                                score += back * bweight
+                            hot[method] = score
                         if pc >= 0:
                             frame.pc = pc
-                        if back:
-                            score += back * bweight
-                        hot[method] = score
                         continue
                 # Promoted: generated code at leader pcs, plus deopt
                 # bookkeeping for the adaptive-cap recompile.  Once
@@ -1123,6 +1192,8 @@ class Interpreter:
                     executed += n
                 if pc >= 0:
                     frame.pc = pc
+        except SliceEnd:
+            pass
         finally:
             ticked = executed - unticked
             if ticked:
@@ -1151,22 +1222,25 @@ class Interpreter:
             profile_depth = len(frames)
         cache = self._ccache
         compiled_for = self._compiled_for
-        while executed < budget and len(frames) > stop_depth:
-            frame = frames[-1]
-            method = frame.method
-            compiled = cache.get(method) or compiled_for(method)
-            pc = frame.pc
-            if pc >= compiled.ilen:
-                # Fell off the end: implicit return void (not ticked).
-                self._return(thread, VOID)
+        try:
+            while executed < budget and len(frames) > stop_depth:
+                frame = frames[-1]
+                method = frame.method
+                compiled = cache.get(method) or compiled_for(method)
+                pc = frame.pc
+                if pc >= compiled.ilen:
+                    # Fell off the end: implicit return void (not ticked).
+                    self._return(thread, VOID)
+                    executed += 1
+                    continue
+                frame.pc = pc + 1
                 executed += 1
-                continue
-            frame.pc = pc + 1
-            executed += 1
-            runtime.tick()
-            npc = compiled.ccode[pc](frame, thread)
-            if npc >= 0:
-                frame.pc = npc
+                runtime.tick()
+                npc = compiled.ccode[pc](frame, thread)
+                if npc >= 0:
+                    frame.pc = npc
+        except SliceEnd:
+            pass
         self.instructions_executed += executed
         if profiler.enabled:
             elapsed = perf_counter() - profile_started
@@ -1196,22 +1270,25 @@ class Interpreter:
         handlers = _HANDLERS
         op_count = bc.OP_COUNT
         counts = self.op_counts
-        while executed < budget and len(frames) > stop_depth:
-            frame = frames[-1]
-            code = frame.method.code
-            pc = frame.pc
-            if pc >= len(code):
-                self._return(thread, VOID)
+        try:
+            while executed < budget and len(frames) > stop_depth:
+                frame = frames[-1]
+                code = frame.method.code
+                pc = frame.pc
+                if pc >= len(code):
+                    self._return(thread, VOID)
+                    executed += 1
+                    continue
+                op, a, b = code[pc]
+                frame.pc = pc + 1
                 executed += 1
-                continue
-            op, a, b = code[pc]
-            frame.pc = pc + 1
-            executed += 1
-            runtime.tick()
-            if op >= op_count or op < 0:
-                raise VerifyError(f"unknown opcode {op}")
-            counts[op] += 1
-            handlers[op](self, runtime, thread, frame, a, b)
+                runtime.tick()
+                if op >= op_count or op < 0:
+                    raise VerifyError(f"unknown opcode {op}")
+                counts[op] += 1
+                handlers[op](self, runtime, thread, frame, a, b)
+        except SliceEnd:
+            pass
         self.instructions_executed += executed
         if profiler.enabled:
             elapsed = perf_counter() - profile_started
@@ -1231,16 +1308,27 @@ class Interpreter:
 
     def _invoke(self, thread: JThread, frame, method: JMethod) -> None:
         nargs = method.nargs
-        args = frame.stack[len(frame.stack) - nargs:] if nargs else []
-        del frame.stack[len(frame.stack) - nargs:]
+        stack = frame.stack
+        if nargs:
+            args = stack[-nargs:]
+            del stack[-nargs:]
+        else:
+            args = []
         if method.native is not None:
             # Convention: natives return VOID for "no value"; anything else
             # (including None, a legitimate null) is pushed for the caller.
+            threads = self._threads
+            registered = len(threads)
             result = self._run_native(thread, method, args)
             if result is not VOID:
-                frame.stack.append(result)
+                stack.append(result)
+            if len(threads) != registered:
+                # A callback spawned: its own SliceEnd only ended the
+                # nested call_sync loop, so end this thread's slice here.
+                raise SliceEnd
             return
-        self._push_frame(thread, method, args)
+        callee = self._runtime_push(thread, method, method.nlocals)
+        callee.locals[:nargs] = args
 
     def _instanceof(self, obj, cls_name: str) -> int:
         if obj is None:

@@ -69,7 +69,9 @@ class RuntimeConfig:
     #: the thesis's "every 100,000 JVM instructions" protocol).  None = only
     #: on allocation failure.
     gc_period_ops: Optional[int] = None
-    #: Scheduler quantum, in instructions.
+    #: Scheduler quantum, in instructions: how far a thread runs before
+    #: the round-robin rotates while two or more threads are runnable (a
+    #: lone thread runs in slices of several quanta; same schedule).
     quantum: int = 100
     #: Event sink for the observability layer (:mod:`repro.obs`).  None
     #: installs the zero-overhead NullTracer.
@@ -259,7 +261,7 @@ class Runtime:
             self._hb_next = self._hb_every
 
         #: True when front ends must tick per instruction (periodic GC or
-        #: heartbeat armed) instead of batching ticks per quantum — both
+        #: heartbeat armed) instead of batching ticks per slice — both
         #: triggers fire at exact op counts only under per-op ticking.
         self._tick_per_op = (
             self._gc_period is not None or self.heartbeat is not None

@@ -3,8 +3,12 @@
 The paper's thread treatment needs only one observable: *which thread
 performs each heap access* (section 3.3 pins objects touched by a second
 thread).  A deterministic round-robin quantum scheduler provides exactly
-that while keeping every run reproducible — the interpreter executes up to
-``quantum`` instructions of one thread, then rotates.
+that while keeping every run reproducible — while two or more threads are
+runnable, the interpreter executes up to ``quantum`` instructions of one
+thread, then rotates.  A thread running alone is driven in slices of
+several quanta that end early where a second thread becomes runnable
+(:meth:`repro.jvm.interpreter.Interpreter.run_program`), which retires
+the same instructions in the same order.
 
 Direct-drive workloads interleave explicitly (they call mutator APIs on
 whichever :class:`JThread`'s mutator they like), so they bypass the

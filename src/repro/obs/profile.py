@@ -11,8 +11,8 @@ Two instruments:
 
 * **Phase timers** — named accumulators (``interpret``, ``cg-events``,
   ``msa``, ``recycle-search``) charged by the VM at coarse boundaries: one
-  sample per interpreter quantum / GC cycle / recycle search, never per
-  instruction.
+  sample per interpreter dispatch call (one scheduling slice) / GC cycle /
+  recycle search, never per instruction.
 * **Depth profile** — interpreter time attributed to the shadow-stack
   depth at which it was spent: a one-dimensional flamegraph that shows
   which call depths dominate (and hence which frames' pops CG should win

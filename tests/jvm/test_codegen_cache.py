@@ -122,12 +122,17 @@ class TestKeying:
 
     def test_lifted_recompile_writes_a_second_entry(self, cache_dir):
         # The tiered mode's adaptive recompile uses lifted caps, so its
-        # entry must never collide with the default-caps one.
+        # entry must never collide with the default-caps one.  A lone
+        # thread gets one dispatch-loop visit per slice, so the visits the
+        # recompile waits for come from repeated invokes (each one at
+        # least one visit).
         rt = Runtime(RuntimeConfig(dispatch="tiered", promote_after=2,
                                    quantum=64, cg=CGPolicy(paranoid=True)),
                      program=assemble(
                          SOURCE.replace("const 50", "const 4000")))
         assert rt.run("Main.main", []) == 4000 * 2
+        for _ in range(rt.interpreter.RECOMPILE_AFTER_VISITS):
+            assert rt.invoke("Main.main", []) == 4000 * 2
         assert rt.interpreter.methods_recompiled > 0
         digests = {p.name for p in cache_dir.glob("cg-*.json")}
         assert len(digests) >= 2

@@ -180,6 +180,25 @@ class TestOpcodeParity:
 
         dispatch_sweep(run)
 
+    def test_spawn_without_receiver_every_dispatch(self):
+        # Like ``invokevirtual m 0``: a verify error, raised after the
+        # same instruction count under every leg.
+        source = (
+            "class Worker\nmethod Worker.work(1)\n    return\n"
+            + MAIN + "    const 1\n    pop\n    spawn work 0\n"
+            + "    const 1\n    retval\n"
+        )
+
+        def run(dispatch, promote_after):
+            rt = Runtime(RuntimeConfig(dispatch=dispatch,
+                                       promote_after=promote_after),
+                         program=assemble(source))
+            with pytest.raises(VerifyError, match="spawn needs a receiver"):
+                rt.run("Main.main", [])
+            return (rt.interpreter.instructions_executed, rt.ops), rt
+
+        assert_dispatch_parity(run)
+
 
 QUICKEN_SOURCE = (
     "class Config\nstatic limit\n"
@@ -502,6 +521,26 @@ class TestTieredPromotion:
         assert interp.methods_codegenned == 0
         assert snapshot(rt) == snapshot(cold_rt)
 
+    def test_loop_shorter_than_a_slice_promotes(self):
+        # One method, one dispatch-loop visit: the loop ends inside the first
+        # lone slice, so only the cold segment's stop at the backedge that
+        # reaches the threshold leaves a visit to promote at.
+        clear_codegen_caches()
+        source = (
+            MAIN
+            + "    const 0\n    store 0\n"
+            + "loop:\n"
+            + "    load 0\n    const 200\n    if_icmpge done\n"
+            + "    iinc 0 1\n    goto loop\n"
+            + "done:\n    load 0\n    retval\n"
+        )
+        result, rt = run_one(source, [], "tiered")
+        assert result == 200
+        interp = rt.interpreter
+        slice_len = rt.config.quantum * interp.LONE_SLICE_QUANTA
+        assert interp.instructions_executed < slice_len
+        assert interp.methods_promoted == 1
+
     @pytest.mark.parametrize("quantum", [1, 3, 7])
     def test_promotion_with_tiny_quanta(self, quantum):
         # Promotion decisions land at driver visits, so tiny quanta give
@@ -547,9 +586,20 @@ class TestTieredPromotion:
     def test_adaptive_recompile_fires_on_clean_methods(self):
         # Enough driver visits with zero deopts triggers the one-shot
         # lifted-caps recompile; counters stay identical to the table
-        # oracle and the recompiled flag is recorded.
+        # oracle and the recompiled flag is recorded.  A lone thread gets
+        # one dispatch-loop visit per slice, not per quantum, so a spawned
+        # spinner keeps a second thread runnable for the whole loop and
+        # every quantum boundary is a visit.
         source = (
-            MAIN
+            "class Spinner\n"
+            + "method Spinner.spin(2)\n"
+            + "    const 0\n    store 2\n"
+            + "spin:\n"
+            + "    load 2\n    load 1\n    if_icmpge spun\n"
+            + "    iinc 2 1\n    goto spin\n"
+            + "spun:\n    return\n"
+            + MAIN
+            + "    new Spinner\n    const 6000\n    spawn spin 2\n"
             + "    const 0\n    store 0\n    const 0\n    store 1\n"
             + "loop:\n"
             + "    load 0\n    const 4000\n    if_icmpge done\n"

@@ -436,6 +436,14 @@ _HANDLERS: Tuple = tuple(_HANDLER_BY_NAME[name] for name in bc.OPCODE_NAMES)
 assert len(_HANDLERS) == bc.OP_COUNT
 
 
+def _counting(op: int, handler, counts: List[int]):
+    """``handler`` behind a bump of ``counts[op]`` (``count_opcodes``)."""
+    def counted(interp, runtime, thread, frame, a, b):
+        counts[op] += 1
+        handler(interp, runtime, thread, frame, a, b)
+    return counted
+
+
 class Interpreter:
     """Executes bytecode methods on a runtime's threads."""
 
@@ -462,6 +470,13 @@ class Interpreter:
         self.count_ops: bool = config.count_opcodes
         self.op_counts: Optional[List[int]] = (
             [0] * bc.OP_COUNT if self.count_ops else None
+        )
+        #: The table loop's opcode-indexed handlers; in ``count_opcodes``
+        #: mode each entry bumps ``op_counts`` before the real handler.
+        self._handlers: Tuple = (
+            tuple(_counting(op, handler, self.op_counts)
+                  for op, handler in enumerate(_HANDLERS))
+            if self.count_ops else _HANDLERS
         )
         #: JMethod -> CompiledMethod, tiered's closure half.  Per-interpreter:
         #: compiled closures bind this runtime's services.
@@ -524,30 +539,22 @@ class Interpreter:
                 f"dispatch must be one of {DISPATCH_CHOICES}, got {dispatch!r}"
                 f"{did_you_mean(dispatch, DISPATCH_CHOICES)}"
             )
-        if self.count_ops:
-            # The counting loop ticks per instruction; with no periodic-GC
-            # trigger tick() is a pure counter bump, so the observable
-            # results stay bit-identical to the batched loops.  Tiered
-            # counts via the table loop too: per-opcode observation needs
-            # per-instruction dispatch anyway, the two modes are
+        if dispatch == "tiered" and not self.count_ops:
+            # Tiered counts via the table loop: per-opcode observation
+            # needs per-instruction dispatch, the two modes are
             # parity-equal, and promotion would only change wall time.
-            self.step_n = self._step_n_table_counting
-        elif dispatch == "tiered":
-            # With gc_period_ops or a heartbeat armed, control is needed
-            # at every instruction boundary: promotion could only ever
-            # reach generated code that deopts at every pc, so the
-            # closure tick loop runs wholesale instead.
-            self.step_n = (
-                self._step_n_tiered if not runtime._tick_per_op
-                else self._step_n_closure_tick
-            )
-        plan = runtime.config.faults
-        if plan is not None and plan.arms("interp.step"):
-            # Wrap whichever dispatch loop was just selected.  The wrapper
-            # slices budgets at firing points, so the inner loops stay
-            # untouched and the no-fault path pays nothing.
+            self.step_n = self._step_n_tiered
+        plan = config.faults
+        #: The fault plan when it arms ``interp.step`` traps, else None.
+        self._traps = (plan if plan is not None and plan.arms("interp.step")
+                       else None)
+        if self._traps is not None or runtime.next_due() is not None:
+            # Something can fall due mid-slice: wrap whichever dispatch
+            # loop was just selected.  The wrapper ends slices at due
+            # points, so the inner loops stay untouched and a run with
+            # nothing armed pays nothing.
             self._inner_step_n = self.step_n
-            self.step_n = self._step_n_faulted
+            self.step_n = self._step_n_sliced
 
     # ------------------------------------------------------------------
     # Entry points
@@ -696,37 +703,66 @@ class Interpreter:
     # The dispatch loop
     # ------------------------------------------------------------------
 
-    def _step_n_faulted(self, thread: JThread, budget: int,
-                        stop_depth: int = 0) -> int:
-        """``step_n`` wrapper installed when ``interp.step`` is armed.
+    def _step_n_sliced(self, thread: JThread, budget: int,
+                       stop_depth: int = 0) -> int:
+        """``step_n`` wrapper installed when something can fall due
+        mid-slice: an ``interp.step`` trap, a periodic GC or a heartbeat.
 
-        Runs the real loop in chunks sized to the next firing point; at the
-        firing point it raises a :class:`TrapFault` carrying a crash dump —
-        the deterministic analogue of hitting a corrupt opcode.
+        Runs the selected loop in chunks that end short of the next due
+        point, so an observed run takes the same dispatch loops as a plain
+        one and every chunk flushes its ticks once.  A trap due before the
+        next instruction raises a :class:`TrapFault` carrying a crash dump
+        — the deterministic analogue of hitting a corrupt opcode — and
+        pre-empts a GC due at the same boundary.  An event due at op ``D``
+        fires with ``runtime.ops == D`` just before the decoded instruction
+        that ticks ``D`` runs; implicit end-of-code returns never tick, so
+        one at the top frame runs alone first.
         """
         runtime = self.runtime
-        plan = runtime.config.faults
+        plan = self._traps
         inner = self._inner_step_n
+        frames = thread.stack.frames
+        threads = self._threads
         total = 0
         while total < budget:
-            gap = plan.hits_until_fire("interp.step")
-            if gap is None:
-                return total + inner(thread, budget - total, stop_depth)
-            if gap == 0:
-                firing = plan.consume_fire("interp.step")
-                report = inject(
-                    runtime, "interp.step", "trap",
-                    f"injected trap at instruction "
-                    f"{self.instructions_executed} (firing {firing})",
-                    thread=thread.name, depth=thread.stack.depth,
-                )
-                raise TrapFault(report)
-            chunk = min(budget - total, gap)
+            chunk = budget - total
+            if plan is not None:
+                gap = plan.hits_until_fire("interp.step")
+                if gap == 0:
+                    firing = plan.consume_fire("interp.step")
+                    report = inject(
+                        runtime, "interp.step", "trap",
+                        f"injected trap at instruction "
+                        f"{self.instructions_executed} (firing {firing})",
+                        thread=thread.name, depth=thread.stack.depth,
+                    )
+                    raise TrapFault(report)
+                if gap is not None and gap < chunk:
+                    chunk = gap
+            due = runtime.next_due()
+            if due is not None:
+                gap = due - 1 - runtime.ops
+                if gap <= 0:
+                    # The next decoded instruction ticks the due op: fire,
+                    # then run it alone.  An implicit end-of-code return on
+                    # top never ticks, so it runs alone before the firing.
+                    if len(frames) <= stop_depth:
+                        return total
+                    frame = frames[-1]
+                    if frame.pc < len(frame.method.code):
+                        runtime.fire_due()
+                    chunk = 1
+                elif gap < chunk:
+                    chunk = gap
+            registered = len(threads)
             executed = inner(thread, chunk, stop_depth)
-            plan.charge("interp.step", executed)
+            if plan is not None:
+                plan.charge("interp.step", executed)
             total += executed
-            if executed < chunk:
-                # The thread drained to stop_depth; no more instructions.
+            if executed < chunk or len(threads) != registered:
+                # The thread drained to stop_depth, or a SliceEnd cut the
+                # slice (a second thread became runnable, possibly at the
+                # chunk's last instruction); no more instructions.
                 return total
         return total
 
@@ -738,8 +774,9 @@ class Interpreter:
         (used by :meth:`call_sync` so a native callback doesn't run past
         its own caller's frame) or when a :class:`SliceEnd` ends the
         slice.  ``budget`` is one quantum, one lone slice
-        (:data:`LONE_SLICE_QUANTA` quanta), a quantum's top-up, or a
-        ``call_sync`` chunk.
+        (:data:`LONE_SLICE_QUANTA` quanta), a quantum's top-up or a
+        ``call_sync`` chunk, or a piece of one that :meth:`_step_n_sliced`
+        ended short of a due point.
         """
         runtime = self.runtime
         executed = 0
@@ -751,59 +788,37 @@ class Interpreter:
             # shadow stack at slice resolution, not per instruction.
             profile_started = perf_counter()
             profile_depth = len(frames)
-        handlers = _HANDLERS
+        handlers = self._handlers
         op_count = bc.OP_COUNT
-        if not runtime._tick_per_op:
-            # No periodic-GC trigger or heartbeat: ``tick`` is pure
-            # accounting, so charge the whole slice in one call instead
-            # of once per instruction.
-            # Implicit end-of-code returns are not ticked (matching the
-            # per-instruction loop below, which ticks only decoded
-            # instructions); the flush happens even if a handler raises, so
-            # the op count includes the faulting instruction exactly as the
-            # per-instruction loop would.
-            ticked = 0
-            try:
-                while executed < budget and len(frames) > stop_depth:
-                    frame = frames[-1]
-                    code = frame.method.code
-                    pc = frame.pc
-                    if pc >= len(code):
-                        # Fell off the end: implicit return void.
-                        self._return(thread, VOID)
-                        executed += 1
-                        continue
-                    op, a, b = code[pc]
-                    frame.pc = pc + 1
+        # The slice never reaches a due periodic GC or heartbeat (the
+        # step_n wrapper ends it short of one), so ``tick`` is pure
+        # accounting: charge the whole slice in one call.  Only decoded
+        # instructions tick, never the implicit end-of-code return; the
+        # flush happens even if a handler raises, so the op count includes
+        # the faulting instruction.
+        ticked = 0
+        try:
+            while executed < budget and len(frames) > stop_depth:
+                frame = frames[-1]
+                code = frame.method.code
+                pc = frame.pc
+                if pc >= len(code):
+                    # Fell off the end: implicit return void.
+                    self._return(thread, VOID)
                     executed += 1
-                    ticked += 1
-                    if op >= op_count or op < 0:
-                        raise VerifyError(f"unknown opcode {op}")
-                    handlers[op](self, runtime, thread, frame, a, b)
-            except SliceEnd:
-                pass
-            finally:
-                if ticked:
-                    runtime.tick(ticked)
-        else:
-            try:
-                while executed < budget and len(frames) > stop_depth:
-                    frame = frames[-1]
-                    code = frame.method.code
-                    pc = frame.pc
-                    if pc >= len(code):
-                        self._return(thread, VOID)
-                        executed += 1
-                        continue
-                    op, a, b = code[pc]
-                    frame.pc = pc + 1
-                    executed += 1
-                    runtime.tick()
-                    if op >= op_count or op < 0:
-                        raise VerifyError(f"unknown opcode {op}")
-                    handlers[op](self, runtime, thread, frame, a, b)
-            except SliceEnd:
-                pass
+                    continue
+                op, a, b = code[pc]
+                frame.pc = pc + 1
+                executed += 1
+                ticked += 1
+                if op >= op_count or op < 0:
+                    raise VerifyError(f"unknown opcode {op}")
+                handlers[op](self, runtime, thread, frame, a, b)
+        except SliceEnd:
+            pass
+        finally:
+            if ticked:
+                runtime.tick(ticked)
         self.instructions_executed += executed
         if profiler.enabled:
             elapsed = perf_counter() - profile_started
@@ -1198,97 +1213,6 @@ class Interpreter:
             ticked = executed - unticked
             if ticked:
                 runtime.tick(ticked)
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
-
-    def _step_n_closure_tick(self, thread: JThread, budget: int,
-                             stop_depth: int = 0) -> int:
-        """Closure dispatch with a periodic-GC trigger or heartbeat armed.
-
-        Mirrors the table loop's per-instruction ordering exactly — pc
-        advanced, ``executed`` charged, ``tick()``, then the instruction —
-        so collections trigger at identical instruction boundaries.
-        """
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        cache = self._ccache
-        compiled_for = self._compiled_for
-        try:
-            while executed < budget and len(frames) > stop_depth:
-                frame = frames[-1]
-                method = frame.method
-                compiled = cache.get(method) or compiled_for(method)
-                pc = frame.pc
-                if pc >= compiled.ilen:
-                    # Fell off the end: implicit return void (not ticked).
-                    self._return(thread, VOID)
-                    executed += 1
-                    continue
-                frame.pc = pc + 1
-                executed += 1
-                runtime.tick()
-                npc = compiled.ccode[pc](frame, thread)
-                if npc >= 0:
-                    frame.pc = npc
-        except SliceEnd:
-            pass
-        self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
-        return executed
-
-    # ------------------------------------------------------------------
-    # Counting loop (count_opcodes mode: per-opcode histogram)
-    # ------------------------------------------------------------------
-
-    def _step_n_table_counting(self, thread: JThread, budget: int,
-                               stop_depth: int = 0) -> int:
-        """Table dispatch with the per-opcode histogram enabled.
-
-        Serves both dispatch modes in counting mode (they are
-        parity-identical); ticks per instruction, observationally
-        identical to the batched flush when no periodic trigger is armed.
-        """
-        runtime = self.runtime
-        executed = 0
-        frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        handlers = _HANDLERS
-        op_count = bc.OP_COUNT
-        counts = self.op_counts
-        try:
-            while executed < budget and len(frames) > stop_depth:
-                frame = frames[-1]
-                code = frame.method.code
-                pc = frame.pc
-                if pc >= len(code):
-                    self._return(thread, VOID)
-                    executed += 1
-                    continue
-                op, a, b = code[pc]
-                frame.pc = pc + 1
-                executed += 1
-                runtime.tick()
-                if op >= op_count or op < 0:
-                    raise VerifyError(f"unknown opcode {op}")
-                counts[op] += 1
-                handlers[op](self, runtime, thread, frame, a, b)
-        except SliceEnd:
-            pass
         self.instructions_executed += executed
         if profiler.enabled:
             elapsed = perf_counter() - profile_started

@@ -104,10 +104,10 @@ class RuntimeConfig:
     #: not observation).
     promote_after: int = 128
     #: Maintain a per-opcode execution histogram (``vm.op.*`` metrics).
-    #: Purely observational — selects a counting dispatch loop but never
-    #: changes a run's counters — so, like ``tracer``/``profile``, it is
-    #: excluded from :meth:`fingerprint`.  Off by default: the zero-cost
-    #: path stays zero-cost.
+    #: Purely observational — runs the table loop over counting handlers
+    #: but never changes a run's counters — so, like ``tracer``/``profile``,
+    #: it is excluded from :meth:`fingerprint`.  Off by default: the
+    #: zero-cost path stays zero-cost.
     count_opcodes: bool = False
     #: Deterministic fault-injection plan (:mod:`repro.faults`).  None —
     #: the default for every figure and bench run — keeps each hook at a
@@ -118,8 +118,8 @@ class RuntimeConfig:
     #: Pure op-counter cadence — snapshots fire at the same op counts
     #: under both dispatch modes — and purely observational, so, like
     #: ``tracer``/``profile``/``count_opcodes``, it is excluded from
-    #: :meth:`fingerprint`.  Off (None) by default: the zero-cost tick
-    #: paths stay bound exactly as before.
+    #: :meth:`fingerprint`.  Armed or not, bytecode runs take the same
+    #: dispatch loops (slices end where a beat is due).  Off by default.
     heartbeat_every: Optional[int] = None
     #: Spool directory override for heartbeats (default: ``$REPRO_SPOOL``
     #: or ``<tempdir>/repro-spool``).
@@ -149,6 +149,8 @@ class RuntimeConfig:
                 f"dispatch must be one of {DISPATCH_CHOICES}, got {self.dispatch!r}"
                 f"{did_you_mean(self.dispatch, DISPATCH_CHOICES)}"
             )
+        if self.gc_period_ops is not None and self.gc_period_ops < 1:
+            raise ValueError("gc_period_ops must be >= 1 (or None for off)")
         if self.heartbeat_every is not None and self.heartbeat_every < 1:
             raise ValueError("heartbeat_every must be >= 1 (or None for off)")
         if self.promote_after < 1:
@@ -260,12 +262,6 @@ class Runtime:
             )
             self._hb_next = self._hb_every
 
-        #: True when front ends must tick per instruction (periodic GC or
-        #: heartbeat armed) instead of batching ticks per slice — both
-        #: triggers fire at exact op counts only under per-op ticking.
-        self._tick_per_op = (
-            self._gc_period is not None or self.heartbeat is not None
-        )
         if self.heartbeat is not None:
             self.tick = (
                 self._tick_heartbeat if self._gc_period is None
@@ -606,6 +602,29 @@ class Runtime:
     def _tick_count_only(self, n: int = 1) -> None:
         """Specialised :meth:`tick` for runs with no periodic-GC trigger."""
         self.ops += n
+
+    def next_due(self) -> Optional[int]:
+        """The op count at which the next periodic GC or heartbeat fires
+        (None when neither is armed).  Always above ``ops``: every tick
+        that reaches it fires and moves it on."""
+        due = None
+        if self._gc_period is not None:
+            due = self._last_periodic_gc + self._gc_period
+        if self.heartbeat is not None and (due is None or self._hb_next < due):
+            due = self._hb_next
+        return due
+
+    def fire_due(self) -> None:
+        """Fire what the next tick triggers, without charging that tick.
+
+        For front ends that tick in bulk: called with ``ops`` one short of
+        :meth:`next_due`, just before the instruction that ticks it runs,
+        so the events see ``ops`` at the due op in the unadorned tick's
+        order, and the instruction's own tick is left to the loop that
+        runs it.
+        """
+        self.tick(1)
+        self.ops -= 1
 
     def _hb_fire(self) -> None:
         """Advance the heartbeat schedule and emit one snapshot.

@@ -18,8 +18,10 @@ Design constraints, in order:
   dispatch modes.  Wall-clock fields (``time``, ``uptime_s``) are advisory
   labels on the snapshot, never inputs to it, so arming a heartbeat
   leaves a run's counters bit-identical to a heartbeat-off run.
-* **Zero cost when off.**  ``heartbeat_every=None`` (the default) binds
-  the same specialized tick paths as before; no hook, no branch.
+* **Zero cost when off; same code path when on.**  ``heartbeat_every=None``
+  (the default) binds the same specialized tick paths as before; no hook,
+  no branch.  Armed, bytecode runs still take the production dispatch
+  loops: the interpreter ends slices where a beat is due.
 * **Crash-safe publication.**  Each beat rewrites the run's spool file
   through a temp file + ``os.replace`` (atomic on POSIX), so a reader
   never sees a torn snapshot.  The file holds a bounded ring of the most

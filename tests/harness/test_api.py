@@ -254,6 +254,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="promote_after"):
             RuntimeConfig(promote_after=0)
 
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_gc_period_below_one_rejected(self, period):
+        # A period below one would collect at every op, and the next due
+        # op would never move past ``ops``.
+        with pytest.raises(ValueError, match="gc_period_ops must be >= 1"):
+            RuntimeConfig(gc_period_ops=period)
+        with pytest.raises(ValueError, match="gc_period_ops must be >= 1"):
+            run("bc-calls", 1, "cg", gc_period_ops=period)
+
+    def test_cg_reset_maps_period_zero_to_its_default(self):
+        config = config_for("cg-reset", 1 << 20, 0)
+        assert config.gc_period_ops == api.RESET_PERIOD_OPS
+
 
 class TestConfigFingerprint:
     def test_fingerprint_covers_allocator_dispatch_faults(self):

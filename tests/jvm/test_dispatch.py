@@ -147,9 +147,8 @@ class TestOpcodeParity:
         assert_parity(source, args, expected)
 
     def test_parity_under_periodic_gc(self):
-        # gc_period_ops forces the per-instruction tick paths (no batching;
-        # tiered runs its closure tick loop), and periodic collections
-        # mid-program.
+        # gc_period_ops ends slices where a collection is due, and runs
+        # periodic collections mid-program.
         source, args, expected = PARITY_PROGRAMS[2]
         assert_parity(source, args, expected, gc_period_ops=7,
                       heap_words=4096)

@@ -5,12 +5,12 @@ The heartbeat is the live counterpart of the crash dump: every
 :class:`LiveSnapshot` into a bounded spool ring.  The contract under test:
 
 * beats fire at *exact* op counts, identically under both dispatch
-  modes (arming a heartbeat forces the per-instruction tick loops, same
-  discipline as ``gc_period_ops``);
+  modes (slices end where a beat is due, same discipline as
+  ``gc_period_ops``);
 * arming a heartbeat leaves every determinism counter bit-identical to a
   heartbeat-off run — observation must not perturb the experiment;
 * the spool ring never exceeds its bounds (lines per file, files per pid);
-* crash dumps and heartbeats share the ``cg-snapshot/1`` schema.
+* crash dumps and heartbeats share the ``cg-snapshot/4`` schema.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class TestCadence:
         assert schedules["tiered"] == schedules["table"]
 
     def test_beats_fire_alongside_periodic_gc(self, tmp_path):
-        # gc_period and heartbeat share the per-op tick path; both triggers
-        # must keep firing when armed together.
+        # gc_period and heartbeat share the due-point slicing; both
+        # triggers must keep firing when armed together.
         rt = run_loop(400, "tiered", tmp_path, every=128, gc_period_ops=256)
         assert rt.collector is None or rt.ops > 0
         _, spools = read_spool(tmp_path)

@@ -1,7 +1,7 @@
 """Per-opcode execution histogram (``count_opcodes``).
 
-Counting is opt-in: it swaps in a slower per-instruction dispatch loop, so
-it must be exact when enabled (totals equal ``vm.ops``) and completely
+Counting is opt-in: it runs the table loop over counting handlers, so it
+must be exact when enabled (totals equal ``vm.ops``) and completely
 absent — no counters allocated, no metrics exported — when disabled.
 """
 

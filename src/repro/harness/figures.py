@@ -9,7 +9,6 @@ Naming: ``fig4_1`` reproduces Figure 4.1, ``figA_2`` Table A.2, etc.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -37,14 +36,6 @@ _CACHE: Dict[Tuple, RunResult] = {}
 #: Cells that exhausted their retries under the parallel harness; reading
 #: one raises QuarantinedCellError instead of hanging or recomputing.
 _QUARANTINE: Dict[Tuple, FaultReport] = {}
-
-#: Bump when run semantics change in a way that invalidates stored results.
-#: v2: keys grew the RuntimeConfig fingerprint (allocator/dispatch/faults).
-#: v3: keys grew the workload-params axis.  v4: the tiered-dispatch
-#: default flip (fingerprints grew the promotion knobs) — kept in
-#: lockstep with :data:`repro.harness.pool.CACHE_VERSION`, which shares
-#: these on-disk files.
-_CACHE_VERSION = 4
 
 #: Disk cache directory (None disables).  Seeded from the environment so
 #: subprocesses and CI jobs can opt in without CLI plumbing.
@@ -126,36 +117,28 @@ def cell_key(workload: str, size: int, system: str,
             json.dumps(params or {}, sort_keys=True))
 
 
-def _cache_file(key: Tuple) -> Optional[Path]:
+def _result_cache():
+    """The pool's :class:`~repro.harness.pool.ResultCache` at the armed
+    directory (so sequential cells and pool workers share its files), or
+    ``None``.  Imported on use: the pool module loads multiprocessing,
+    which a run without a result cache never needs."""
     if _RESULT_CACHE_DIR is None:
         return None
-    digest = hashlib.sha1(
-        json.dumps([_CACHE_VERSION, *key]).encode()
-    ).hexdigest()
-    return _RESULT_CACHE_DIR / f"{digest}.json"
+    from .pool import ResultCache
+
+    return ResultCache(_RESULT_CACHE_DIR)
 
 
 def _disk_load(key: Tuple) -> Optional[RunResult]:
-    path = _cache_file(key)
-    if path is None or not path.is_file():
+    cache = _result_cache()
+    data = cache.load(key) if cache is not None else None
+    if data is None:
         return None
     try:
-        with path.open() as fh:
-            return result_from_dict(json.load(fh))
+        return result_from_dict(data)
     except (ValueError, KeyError, TypeError):
-        # Corrupt or stale entry: recompute rather than fail.
+        # Stale entry: recompute rather than fail.
         return None
-
-
-def _disk_store(key: Tuple, result: RunResult) -> None:
-    path = _cache_file(key)
-    if path is None:
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    with tmp.open("w") as fh:
-        json.dump(result_to_dict(result), fh)
-    tmp.replace(path)
 
 
 def cached_run(workload: str, size: int, system: str,
@@ -176,7 +159,9 @@ def cached_run(workload: str, size: int, system: str,
                 heartbeat_every=_HEARTBEAT_EVERY,
                 heartbeat_spool=_HEARTBEAT_SPOOL,
             )
-            _disk_store(key, result)
+            cache = _result_cache()
+            if cache is not None:
+                cache.store(key, result_to_dict(result))
         _CACHE[key] = result
     return result
 

@@ -326,19 +326,10 @@ def _apply_injection(inject: Optional[Dict]) -> None:
     os._exit(3)
 
 
-def _worker_main(worker_id: int, conn,
-                 codegen_dir: Optional[str] = None) -> None:
+def _worker_main(worker_id: int, conn) -> None:
     """Worker loop: recv a message, act, reply.  Lives until ``stop``."""
     from ..faults import FaultError
 
-    if codegen_dir:
-        # Arm the persistent codegen cache: warm workers (and their
-        # replacements) skip per-method source generation for any method
-        # a sibling already compiled.  Same flock discipline as the
-        # ResultCache, so concurrent pools single-flight each entry.
-        from ..jvm.compiledcode import set_codegen_cache_dir
-
-        set_codegen_cache_dir(codegen_dir)
     _warm_imports()
     while True:
         try:
@@ -396,12 +387,11 @@ class _Worker:
 
     __slots__ = ("worker_id", "proc", "conn", "job", "deadline", "jobs_done")
 
-    def __init__(self, worker_id: int, ctx,
-                 codegen_dir: Optional[str] = None) -> None:
+    def __init__(self, worker_id: int, ctx) -> None:
         self.worker_id = worker_id
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
-            target=_worker_main, args=(worker_id, child_conn, codegen_dir),
+            target=_worker_main, args=(worker_id, child_conn),
             name=f"repro-pool-{worker_id}", daemon=True,
         )
         with warnings.catch_warnings():
@@ -457,10 +447,6 @@ class WorkerPool:
             raise ValueError("a pool needs at least one worker")
         self.jobs = int(jobs)
         self.cache_dir = str(cache_dir) if cache_dir else None
-        # A result cache implies a sibling codegen cache: workers compile
-        # the same hot methods, so they share generated sources on disk.
-        self.codegen_dir = (str(Path(self.cache_dir) / "codegen")
-                            if self.cache_dir else None)
         self.spool = Path(spool) if spool else None
         self.default_retries = retries
         self.default_timeout = cell_timeout
@@ -484,8 +470,7 @@ class WorkerPool:
         self._wake_r, self._wake_w = os.pipe()
         self._stop = threading.Event()
         self._workers: List[_Worker] = [
-            _Worker(i, self._ctx, self.codegen_dir)
-            for i in range(self.jobs)
+            _Worker(i, self._ctx) for i in range(self.jobs)
         ]
         self._dispatcher = threading.Thread(
             target=self._loop, name="repro-pool-dispatcher", daemon=True,
@@ -795,8 +780,7 @@ class WorkerPool:
                 return  # already replaced
             exitcode = worker.proc.exitcode
             worker.kill()
-            self._workers[index] = _Worker(worker.worker_id, self._ctx,
-                                           self.codegen_dir)
+            self._workers[index] = _Worker(worker.worker_id, self._ctx)
             self.replaced += 1
             self._warm_sent.discard(worker.worker_id)
             event = self._warm_pending.pop(worker.worker_id, None)
@@ -981,10 +965,6 @@ def get_shared_pool(jobs: int, *,
         _SHARED = WorkerPool(jobs, cache_dir=cache_dir, spool=spool)
     else:
         _SHARED.cache_dir = str(cache_dir) if cache_dir else None
-        # The live workers keep whatever codegen dir they were born with
-        # (re-arming would need a respawn); only new replacements see it.
-        _SHARED.codegen_dir = (str(Path(_SHARED.cache_dir) / "codegen")
-                               if _SHARED.cache_dir else None)
         _SHARED.spool = Path(spool) if spool else None
     return _SHARED
 

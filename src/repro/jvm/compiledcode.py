@@ -93,21 +93,8 @@ instead of two Python frames.
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import importlib.util
-import json
-import marshal
-import os
-from contextlib import contextmanager
-from pathlib import Path
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Tuple)
-
-try:  # pragma: no cover - platform dependent
-    import fcntl
-except ImportError:  # Windows: single-flight degrades to atomic replaces
-    fcntl = None
 
 from . import bytecode as bc
 from .closurecode import CompiledMethod, _split_static_ref
@@ -214,12 +201,6 @@ class PyCompiledMethod(NamedTuple):
     blen: Dict[int, int]
 
 
-def _call_disabled(frame, thread, budget, nout):
-    """``_call`` binding for profiled runs: always hand back to the driver
-    (same signature as ``Interpreter._call_tiered``)."""
-    return 0, False
-
-
 #: Absent-field sentinel for the inlined ``getfield`` fast path.  Never a
 #: VM value (VM values are ints, strings, Handles, and None), so
 #: ``fields.get(name, _MISS) is _MISS`` is an exact missing-field test.
@@ -291,11 +272,7 @@ def _base_bindings(interp) -> dict:
         "_store_static": runtime.store_static,
         "_return_ref": runtime.return_reference,
         "_invoke": interp._invoke,
-        # Threaded calls re-route the depth-profile attribution (callee
-        # time lands on the caller's driver entry), so profiled runs keep
-        # the driver-bounce protocol.
-        "_call": (_call_disabled if runtime.profiler.enabled
-                  else interp._call_tiered),
+        "_call": interp._call_tiered,
         "_ret": interp._return,
         "_instanceof": interp._instanceof,
         "_arraycls": runtime.program.classes[Program.ARRAY],
@@ -308,181 +285,35 @@ def _base_bindings(interp) -> dict:
 
 
 #: Cross-runtime cache of generated code, keyed by (qualified name,
-#: bytecode, caps): ``(source, codeobj, leaders, blen, extra binding
-#: names)``.  The generated source depends only on the bytecode and the
-#: trace caps — quickening cells are *read through* per-runtime bindings
-#: at run time, never inspected at codegen time — so a fresh runtime
-#: executing the same program (bench repeats, parity differentials, the
-#: test suite) skips source generation and ``compile`` and only rebuilds
-#: the binding environment.
+#: bytecode): ``(source, codeobj, leaders, blen, extra binding names)``.
+#: The generated source depends only on the bytecode — quickening cells
+#: are *read through* per-runtime bindings at run time, never inspected
+#: at codegen time — so a fresh runtime executing the same program (bench
+#: repeats, parity differentials, the test suite) skips source generation
+#: and ``compile`` and only rebuilds the binding environment.  It lives
+#: in memory only: each process codegens a promoted method once.
 _CODEGEN_CACHE: dict = {}
 _CODEGEN_CACHE_MAX = 512
 
 
-# ---------------------------------------------------------------------------
-# Persistent codegen cache
-#
-# An optional on-disk second level below ``_CODEGEN_CACHE``: warm
-# WorkerPool workers and repeated ``serve`` requests run in *fresh
-# processes*, so the in-memory cache starts empty every time and each
-# process pays full source generation + ``compile`` for every method.
-# When armed (``REPRO_CODEGEN_CACHE=<dir>`` — the WorkerPool exports it
-# next to its ResultCache — or :func:`set_codegen_cache_dir`), a miss
-# stores ``(source, marshal(codeobj), leaders, blen, extra names)`` as
-# one JSON file keyed by a digest of ``(cache version, interpreter magic,
-# qualified name, sha1(bytecode), caps)``, and a later process's miss
-# rebuilds the binding environment from disk without ever invoking the
-# codegen.  Invalidation is entirely key-side: new bytecode, different
-# caps, a codegen change (bump :data:`CODEGEN_CACHE_VERSION`) or a
-# different CPython (``importlib.util.MAGIC_NUMBER`` — marshal is not
-# stable across versions) each digest to a different file.  Writes are
-# single-flighted with the ResultCache's flock idiom and published by
-# atomic tmp + ``os.replace``; any IO or unmarshal trouble degrades to a
-# plain miss — the cache must never change results, only wall time.
-# ---------------------------------------------------------------------------
-
-#: Bump when the generated source's *shape* changes (new emission rules,
-#: protocol changes) so stale entries self-invalidate.
-CODEGEN_CACHE_VERSION = 1
-
-_DISK_UNSET = object()
-_disk_cache_override: object = _DISK_UNSET
-
-
-def set_codegen_cache_dir(path) -> None:
-    """Arm (a path) or disarm (``None``) the persistent codegen cache,
-    overriding ``$REPRO_CODEGEN_CACHE``."""
-    global _disk_cache_override
-    _disk_cache_override = path
-
-
-def codegen_cache_dir() -> Optional[Path]:
-    """The armed persistent-cache directory, or ``None`` (the default:
-    plain runs touch no disk)."""
-    if _disk_cache_override is not _DISK_UNSET:
-        return Path(_disk_cache_override) if _disk_cache_override else None
-    env = os.environ.get("REPRO_CODEGEN_CACHE")
-    return Path(env) if env else None
-
-
 def clear_codegen_caches() -> None:
     """Drop the in-memory codegen cache (the bench harness's cold-start
-    measurements call this between iterations; the disk level is
-    key-invalidated, never swept)."""
+    measurements call this between iterations)."""
     _CODEGEN_CACHE.clear()
 
 
-def _disk_key(qualified_name: str, code, caps: Tuple[int, int]) -> str:
-    payload = "\x00".join((
-        str(CODEGEN_CACHE_VERSION),
-        importlib.util.MAGIC_NUMBER.hex(),
-        qualified_name,
-        hashlib.sha1(repr(tuple(code)).encode()).hexdigest(),
-        repr(caps),
-    ))
-    return hashlib.sha1(payload.encode()).hexdigest()
-
-
-@contextmanager
-def _disk_lock(directory: Path):
-    """``flock`` on ``<dir>/.lock`` (the ResultCache idiom), degrading to
-    no locking where ``fcntl`` is unavailable."""
-    if fcntl is None:
-        yield
-        return
-    lock_path = directory / ".lock"
-    try:
-        fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
-    except OSError:
-        yield
-        return
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)
-
-
-def _disk_fetch(directory: Path, digest: str):
-    """Load one cache entry, or ``None``.  Corrupt or cross-version files
-    (torn writes survive ``os.replace`` only via external meddling, but
-    defend anyway) are dropped and treated as misses."""
-    path = directory / f"cg-{digest}.json"
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-        source = data["source"]
-        codeobj = marshal.loads(base64.b64decode(data["code"]))
-        ordered = list(data["leaders"])
-        blen = {int(k): v for k, v in data["blen"].items()}
-        extra = tuple(data["extra"])
-    except FileNotFoundError:
-        return None
-    except Exception:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    return source, codeobj, ordered, blen, extra
-
-
-def _disk_store(directory: Path, digest: str, source: str, codeobj,
-                ordered, blen, extra) -> None:
-    """Publish one entry (single-flight + atomic replace); IO errors are
-    swallowed — a full disk must not kill the run."""
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({
-            "version": CODEGEN_CACHE_VERSION,
-            "source": source,
-            "code": base64.b64encode(marshal.dumps(codeobj)).decode("ascii"),
-            "leaders": list(ordered),
-            "blen": {str(k): v for k, v in blen.items()},
-            "extra": list(extra),
-        })
-        path = directory / f"cg-{digest}.json"
-        with _disk_lock(directory):
-            if path.exists():
-                return
-            tmp = directory / f".cg-{digest}.{os.getpid()}.tmp"
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def _cache_lookup(interp, method: JMethod, caps: Tuple[int, int],
-                  count_miss: bool = True):
-    """Memory-then-disk lookup of a cached codegen entry.
+def _cache_lookup(method: JMethod):
+    """Look up a cached codegen entry.
 
     Returns ``(key, cached)``; ``key`` is ``None`` for unhashable
-    bytecode (which skips the cross-run caches entirely), ``cached`` is
-    ``None`` on a miss.  A disk hit is promoted into the in-memory level
-    and counted on ``interp``; misses are counted only when
-    ``count_miss`` is set (the tiered first-visit *probe* is not a
-    compile attempt, so its misses stay out of the cache-traffic
-    counters).
+    bytecode (which skips the cross-run cache entirely), ``cached`` is
+    ``None`` on a miss.
     """
-    code = method.code
     try:
-        key = (method.qualified_name, tuple(code), caps)
-    except TypeError:  # unhashable operand: skip the cross-run caches
+        key = (method.qualified_name, tuple(method.code))
+    except TypeError:  # unhashable operand: skip the cross-run cache
         return None, None
-    cached = _CODEGEN_CACHE.get(key)
-    if cached is None:
-        disk_dir = codegen_cache_dir()
-        if disk_dir is not None:
-            cached = _disk_fetch(
-                disk_dir, _disk_key(method.qualified_name, code, caps)
-            )
-            if cached is not None:
-                interp.codegen_cache_hits += 1
-                if len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_MAX:
-                    _CODEGEN_CACHE.clear()
-                _CODEGEN_CACHE[key] = cached
-            elif count_miss:
-                interp.codegen_cache_misses += 1
-    return key, cached
+    return key, _CODEGEN_CACHE.get(key)
 
 
 def _rebuild_bindings(interp, closure: CompiledMethod, code,
@@ -505,25 +336,21 @@ def _rebuild_bindings(interp, closure: CompiledMethod, code,
     return bindings
 
 
-def cached_method_py(interp, method: JMethod, closure: CompiledMethod,
-                     max_trace: Optional[int] = None
+def cached_method_py(interp, method: JMethod, closure: CompiledMethod
                      ) -> Optional[PyCompiledMethod]:
-    """Build ``method``'s generated form from the caches alone, or
+    """Build ``method``'s generated form from the codegen cache alone, or
     return ``None`` — never invokes the codegen.
 
     The tiered driver probes this on a cold method's first visit: the
     hotness profile exists to decide whether paying for codegen is
-    worth it, and a warm cache (bench repeats, warm pool workers,
-    repeated ``serve`` requests) makes codegen free, so a hit promotes
-    immediately instead of re-earning the threshold.  Promotion timing
-    is pure wall-time policy — counters are promotion-invariant — so the
+    worth it, and a warm cache (bench repeats, a warm pool worker's
+    later cells) makes codegen free, so a hit promotes immediately
+    instead of re-earning the threshold.  Promotion timing is pure
+    wall-time policy — counters are promotion-invariant — so the
     short-circuit can never change results.
     """
     _bind_interpreter_symbols()
-    if max_trace is None:
-        max_trace = _Codegen.MAX_TRACE
-    key, cached = _cache_lookup(interp, method, (MAX_BLOCK, max_trace),
-                                count_miss=False)
+    cached = _cache_lookup(method)[1]
     if cached is None:
         return None
     source, codeobj, ordered, blen, extra = cached
@@ -534,21 +361,12 @@ def cached_method_py(interp, method: JMethod, closure: CompiledMethod,
     return PyCompiledMethod(run, frozenset(ordered), source, closure, blen)
 
 
-def compile_method_py(interp, method: JMethod, closure: CompiledMethod,
-                      max_trace: Optional[int] = None) -> PyCompiledMethod:
-    """Generate, ``compile`` and ``exec`` the Python form of ``method``.
-
-    ``max_trace`` is the trace cap — the default at promotion, lifted only
-    by the adaptive recompile of deopt-free hot methods.  It feeds the
-    cache keys (in-memory and disk) beside :data:`MAX_BLOCK`: the same
-    method compiled under different caps is different generated code.
-    """
+def compile_method_py(interp, method: JMethod, closure: CompiledMethod
+                      ) -> PyCompiledMethod:
+    """Generate, ``compile`` and ``exec`` the Python form of ``method``."""
     _bind_interpreter_symbols()
     code = method.code
-    if max_trace is None:
-        max_trace = _Codegen.MAX_TRACE
-    caps = (MAX_BLOCK, max_trace)
-    key, cached = _cache_lookup(interp, method, caps)
+    key, cached = _cache_lookup(method)
     if cached is not None:
         source, codeobj, ordered, blen, extra = cached
         bindings = _rebuild_bindings(interp, closure, code, extra)
@@ -564,10 +382,10 @@ def compile_method_py(interp, method: JMethod, closure: CompiledMethod,
             if hi - lo > MAX_BLOCK:
                 leaders.update(_synthetic_splits(code, lo, hi))
         ordered = sorted(leaders)
-        gen = _Codegen(interp, method, closure, ordered, max_trace)
+        gen = _Codegen(interp, method, closure, ordered)
         source = gen.generate()
         # Counted here, not in the interpreter wrapper: only a true
-        # generation (both cache levels missed) is a "codegenned" method.
+        # generation (a cache miss) is a "codegenned" method.
         interp.methods_codegenned += 1
         codeobj = compile(source, f"<compiled {method.qualified_name}>", "exec")
         bindings = gen.bindings
@@ -580,12 +398,6 @@ def compile_method_py(interp, method: JMethod, closure: CompiledMethod,
                 name for name in bindings if name.startswith(("_q", "_vc", "_vm", "_k"))
             )
             _CODEGEN_CACHE[key] = (source, codeobj, ordered, blen, extra)
-            disk_dir = codegen_cache_dir()
-            if disk_dir is not None:
-                _disk_store(
-                    disk_dir, _disk_key(method.qualified_name, code, caps),
-                    source, codeobj, ordered, blen, extra,
-                )
     namespace: dict = {}
     exec(codeobj, namespace)
     run = namespace["_make"](**bindings)
@@ -629,12 +441,11 @@ class _Codegen:
     """
 
     def __init__(self, interp, method: JMethod, closure: CompiledMethod,
-                 leaders: List[int], max_trace: Optional[int] = None) -> None:
+                 leaders: List[int]) -> None:
         self.code = method.code
         self.ilen = len(method.code)
         self.quick = closure.quick
         self.leaders = leaders
-        self.max_trace = max_trace if max_trace is not None else self.MAX_TRACE
         self.lindex = {pc: i for i, pc in enumerate(leaders)}
         self.lines: List[str] = []
         self.window: List[Tuple[str, object]] = []
@@ -706,9 +517,7 @@ class _Codegen:
     #: Every block still has its own arm for mid-trace entry, and a slow
     #: copy of the arm's first block keeps refusal at MAX_BLOCK
     #: granularity near quantum boundaries, so the closure-dispatched
-    #: tail stays short.  The cap bounds code growth; this is the
-    #: default — the tiered mode's adaptive recompile lifts it (bounded
-    #: by the scheduler quantum) for promoted, deopt-free methods.
+    #: tail stays short.  The cap bounds code growth.
     MAX_TRACE = 48
 
     def _emit_block(self, idx: int, indent: int) -> None:
@@ -791,7 +600,7 @@ class _Codegen:
             else:
                 self.pending += 1
                 nxt = target
-            if total >= self.max_trace or nxt in visited:
+            if total >= self.MAX_TRACE or nxt in visited:
                 self._count(indent)
                 self._flush(indent)
                 emit(indent, f"pc = {nxt}")

@@ -496,21 +496,15 @@ class Interpreter:
         #: Tiered dispatch (profile-guided promotion) state.  ``_hotness``
         #: maps cold methods to their hotness score (driver visits plus
         #: weighted loop backedges); crossing ``promote_after`` promotes
-        #: the method to generated code at its next call boundary.
-        #: ``_deopts`` counts guard deopts per promoted method;
-        #: ``_promoted_visits``/``_recompiled`` drive the one-shot
-        #: adaptive-cap recompile (see :meth:`_step_n_tiered`).  All of it
-        #: is wall-time-only bookkeeping: promotion swaps *which*
+        #: the method to generated code at its next call boundary.  It is
+        #: wall-time-only bookkeeping: promotion swaps *which*
         #: parity-equal loop runs a method, never what it counts.
         self._hotness: Dict[JMethod, int] = {}
-        self._promoted_visits: Dict[JMethod, int] = {}
-        self._deopts: Dict[JMethod, int] = {}
-        self._recompiled: set = set()
-        #: Methods whose first tiered visit already probed the codegen
-        #: caches (memory + disk) for a ready-made compiled form.  One
-        #: probe per method, ever: a hit promotes immediately (codegen is
-        #: free, so the hotness threshold has nothing left to decide), a
-        #: miss falls back to the profile-and-promote path.
+        #: Methods whose first tiered visit already probed the in-memory
+        #: codegen cache for a ready-made compiled form.  One probe per
+        #: method, ever: a hit promotes immediately (codegen is free, so
+        #: the hotness threshold has nothing left to decide), a miss
+        #: falls back to the profile-and-promote path.
         self._cache_probed: set = set()
         self._promote_after: int = config.promote_after
         #: Always-on compile accounting, independent of the profiler: wall
@@ -524,11 +518,6 @@ class Interpreter:
         self.methods_compiled: int = 0
         self.methods_codegenned: int = 0
         self.methods_promoted: int = 0
-        self.methods_recompiled: int = 0
-        #: Persistent codegen-cache traffic (incremented by
-        #: :mod:`repro.jvm.compiledcode` when a disk cache is armed).
-        self.codegen_cache_hits: int = 0
-        self.codegen_cache_misses: int = 0
         dispatch = config.dispatch
         if dispatch not in DISPATCH_CHOICES:
             # RuntimeConfig validates at construction; this catches
@@ -880,9 +869,9 @@ class Interpreter:
         return compiled
 
     def _py_cached_for(self, method: JMethod):
-        """Cache-only twin of :meth:`_py_compiled_for`: adopt a
-        previously generated form (in-memory or on-disk) without ever
-        running the codegen, or return ``None``.  The binding rebuild a
+        """Cache-only twin of :meth:`_py_compiled_for`: adopt a form
+        generated earlier in this process without ever running the
+        codegen, or return ``None``.  The binding rebuild a
         hit still pays is charged to ``PHASE_CODEGEN`` like any other
         warmup cost."""
         closure = self._compiled_for(method)
@@ -960,53 +949,10 @@ class Interpreter:
             return executed, False
         return executed, True
 
-    #: Promoted-method driver visits after which the one-shot adaptive-cap
-    #: recompile decision is taken (deopt-free by then -> lifted caps).
-    RECOMPILE_AFTER_VISITS = 32
-
     #: Hotness score of one loop backedge retired on closures (a driver
     #: visit scores 1): a tight loop should get hot in a few iterations,
     #: not a few thousand visits.
     PROMOTE_BACKEDGE_WEIGHT = 8
-
-    def _recompile_lifted(self, method: JMethod):
-        """Recompile a promoted, deopt-free method with a lifted trace cap.
-
-        The hotness profile showing zero guard deopts over
-        :data:`RECOMPILE_AFTER_VISITS` driver visits means the method is
-        straight-line/counted-loop shaped: no polymorphic call sites, no
-        failing speculation.  Such methods are recompiled once with
-        ``MAX_TRACE`` lifted so goto-threading fuses longer traces (one
-        upfront budget guard per trace instead of per block).  The trace
-        cap stays bounded by the scheduler quantum — a trace longer than
-        the driving budget could never pass the generated all-or-nothing
-        budget guard and would deopt to closure slots forever.  The
-        *block* cap deliberately stays at ``MAX_BLOCK``: it is the
-        refusal granularity, and every slice boundary runs up to a
-        block's worth of instructions through closure slots twice (the
-        refused tail, then the mid-block catch-up at the next visit), so
-        doubling it measurably pushes ~10% of a tight kernel's
-        instructions onto the slow path.  Counter parity is unaffected:
-        caps only move where generated code *refuses*, and every refusal
-        path charges identically to the closure slots.
-        """
-        from .compiledcode import compile_method_py
-
-        closure = self._compiled_for(method)
-        quantum = self.runtime.config.quantum
-        max_trace = min(max(96, quantum), 256)
-        started = perf_counter()
-        compiled = compile_method_py(
-            self, method, closure, max_trace=max_trace,
-        )
-        elapsed = perf_counter() - started
-        self.codegen_seconds += elapsed
-        self.methods_recompiled += 1
-        profiler = self.runtime.profiler
-        if profiler.enabled:
-            profiler.add(PHASE_CODEGEN, elapsed)
-        self._pycache[method] = compiled
-        return compiled
 
     def _step_n_tiered(self, thread: JThread, budget: int,
                        stop_depth: int = 0) -> int:
@@ -1022,9 +968,7 @@ class Interpreter:
         generated ``run`` at every leader pc, with the closure slots
         single-stepping the deopt path and each slice's tail.  (Stopping
         there keeps promotion independent of slice length: a loop shorter
-        than one lone slice is promoted too.)  A promoted method that stays
-        deopt-free for :data:`RECOMPILE_AFTER_VISITS` visits is
-        recompiled once with lifted trace caps (:meth:`_recompile_lifted`).
+        than one lone slice is promoted too.)
 
         Tick accounting matches the batched table loop: decoded
         instructions (including a faulting one) tick in one flush per
@@ -1057,9 +1001,6 @@ class Interpreter:
         hot = self._hotness
         threshold = self._promote_after
         bweight = self.PROMOTE_BACKEDGE_WEIGHT
-        pvisits = self._promoted_visits
-        deopts = self._deopts
-        recompiled = self._recompiled
         nout = self._nout
         unticked = 0
         try:
@@ -1070,13 +1011,13 @@ class Interpreter:
                 if comp is None:
                     score = hot.get(method, 0) + 1
                     if score == 1 and method not in probed:
-                        # First visit ever: probe the codegen caches once.
+                        # First visit ever: probe the codegen cache once.
                         # The threshold exists to decide whether codegen
                         # pays for itself; a warm cache (bench repeats,
-                        # warm pool workers, repeated serve requests)
-                        # makes it free, so a hit promotes immediately
-                        # instead of re-earning the profile.  Pure
-                        # wall-time policy — parity is tier-invariant.
+                        # a warm pool worker's later cells) makes it
+                        # free, so a hit promotes immediately instead of
+                        # re-earning the profile.  Pure wall-time
+                        # policy — parity is tier-invariant.
                         probed.add(method)
                         comp = py_cached_for(method)
                         if comp is not None:
@@ -1127,22 +1068,7 @@ class Interpreter:
                         if pc >= 0:
                             frame.pc = pc
                         continue
-                # Promoted: generated code at leader pcs, plus deopt
-                # bookkeeping for the adaptive-cap recompile.  Once
-                # the one-shot decision is taken the method is *settled*
-                # and every remaining visit skips the bookkeeping — the
-                # deopt record has nothing left to gate.
-                settled = method in recompiled
-                if not settled:
-                    v = pvisits.get(method, 0) + 1
-                    if v >= self.RECOMPILE_AFTER_VISITS:
-                        recompiled.add(method)
-                        settled = True
-                        pvisits.pop(method, None)
-                        if not deopts.get(method):
-                            comp = self._recompile_lifted(method)
-                    else:
-                        pvisits[method] = v
+                # Promoted: generated code at leader pcs.
                 leaders = comp.leaders
                 pc = frame.pc
                 if pc in leaders:
@@ -1172,11 +1098,6 @@ class Interpreter:
                     if npc < 0:
                         continue
                     frame.pc = npc
-                    if not settled and npc not in leaders:
-                        # Refusals hand back leader pcs; a non-leader can
-                        # only be a guard deopt mid-block.  Recorded for
-                        # the recompile decision, never for counters.
-                        deopts[method] = deopts.get(method, 0) + 1
                     if executed >= budget:
                         continue
                 # Closure-dispatched segment: the deopt path and the

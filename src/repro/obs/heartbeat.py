@@ -56,10 +56,13 @@ from typing import Dict, List, Optional
 #: attribution from request-structured workloads (None when the run is
 #: unprofiled or the workload never brackets requests).
 #: v4 added the ``compile`` section: the interpreter's always-on
-#: compile-budget counters (methods compiled/codegenned/promoted/
-#: recompiled, wall ms per tier, persistent-cache traffic) — present
-#: even in unprofiled runs, None only before the interpreter exists.
-SNAPSHOT_SCHEMA = "cg-snapshot/4"
+#: compile-budget counters (methods compiled/codegenned/promoted, wall
+#: ms per tier) — present even in unprofiled runs, None only before the
+#: interpreter exists.
+#: v5 dropped the section's ``methods_recompiled``, ``cache_hits`` and
+#: ``cache_misses`` (the adaptive recompile and the on-disk codegen
+#: cache are gone).
+SNAPSHOT_SCHEMA = "cg-snapshot/5"
 
 #: Snapshots retained per run file (a ring: older beats roll off).
 DEFAULT_RING = 16
@@ -146,11 +149,8 @@ def runtime_snapshot(runtime) -> Dict:
             "methods_compiled": interp.methods_compiled,
             "methods_codegenned": interp.methods_codegenned,
             "methods_promoted": interp.methods_promoted,
-            "methods_recompiled": interp.methods_recompiled,
             "compile_ms": interp.compile_seconds * 1000.0,
             "codegen_ms": interp.codegen_seconds * 1000.0,
-            "cache_hits": interp.codegen_cache_hits,
-            "cache_misses": interp.codegen_cache_misses,
         }
         if interp is not None else None
     )

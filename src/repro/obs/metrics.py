@@ -145,10 +145,6 @@ def collect_runtime_metrics(
         reg.set_counter("vm.compile.methods", interp.methods_compiled)
         reg.set_counter("vm.compile.codegenned", interp.methods_codegenned)
         reg.set_counter("vm.compile.promoted", interp.methods_promoted)
-        reg.set_counter("vm.compile.recompiled", interp.methods_recompiled)
-        reg.set_counter("vm.compile.cache_hits", interp.codegen_cache_hits)
-        reg.set_counter("vm.compile.cache_misses",
-                        interp.codegen_cache_misses)
         reg.set_gauge("vm.compile.ms", (interp.compile_seconds
                                         + interp.codegen_seconds) * 1000.0)
 

@@ -46,7 +46,7 @@ PHASE_RECYCLE = "recycle-search"
 #: owns the quickening cells.)
 PHASE_COMPILE = "compile"
 #: One-time Python-source generation + ``exec`` when tiered dispatch
-#: promotes (or recompiles) a method, charged separately from
+#: promotes a method, charged separately from
 #: :data:`PHASE_COMPILE` so warmup cost decomposes into "closure compile"
 #: vs "codegen" — the bench harness's ``compile_ms`` column is the sum.
 PHASE_CODEGEN = "codegen"

@@ -142,7 +142,6 @@ class TestCacheVersioning:
     def test_cache_version_bumped_for_tiered_default(self):
         from repro.harness.pool import CACHE_VERSION
 
-        assert figures_mod._CACHE_VERSION == 4
         assert CACHE_VERSION == 4
 
     def test_cell_key_carries_params_axis(self):

@@ -88,6 +88,35 @@ class TestDiskCache:
         cached_run("db", 1, "cg")
         assert list(tmp_path.iterdir()) == []
 
+    def test_stale_entry_recomputes(self, tmp_path):
+        # Valid JSON that no longer parses as a RunResult.
+        figures_mod.set_result_cache(str(tmp_path))
+        cached_run("db", 1, "cg")
+        for entry in tmp_path.glob("*.json"):
+            entry.write_text('{"workload": "db"}')
+        clear_cache()
+        assert cached_run("db", 1, "cg").workload == "db"
+
+    def test_entries_are_the_pool_cache_files(self, tmp_path):
+        # Sequential cells and pool workers share one cache format.
+        from repro.harness.pool import ResultCache
+
+        figures_mod.set_result_cache(str(tmp_path))
+        cached_run("db", 1, "cg")
+        key = figures_mod.cell_key("db", 1, "cg")
+        assert ([p.name for p in tmp_path.glob("*.json")]
+                == [ResultCache(tmp_path).path_for(key).name])
+
+    def test_unwritable_cache_keeps_the_result(self, tmp_path):
+        # The cache directory cannot be created under a regular file: the
+        # store fails, but the cell that was just computed is returned.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        figures_mod.set_result_cache(str(blocker / "cache"))
+        result = cached_run("jess", 1, "cg-nogc")
+        assert result.workload == "jess"
+        assert result.objects_created > 0
+
 
 class TestPrefetch:
     def setup_method(self):

@@ -171,6 +171,30 @@ class TestVmWiring:
         assert profiler.calls[PHASE_INTERPRET] >= 1
         assert sum(profiler.depth_seconds.values()) > 0.0
 
+    def test_profiled_run_takes_threaded_calls(self, monkeypatch):
+        # Profiling must not fork the dispatch path: generated code binds
+        # the same threaded-call helper as in a plain run, so profiled
+        # timings describe the production path.  Wrapped on the class
+        # before the runtime exists, since the binding is taken at codegen.
+        from repro.api import run as run_workload
+        from repro.jvm.interpreter import Interpreter
+
+        monkeypatch.setenv("REPRO_DISPATCH", "tiered")
+        calls = [0]
+        real = Interpreter._call_tiered
+
+        def counting(self, *args):
+            calls[0] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(Interpreter, "_call_tiered", counting)
+        profiled = run_workload("bc-calls", size=1, system="cg",
+                                profile=True)
+        assert calls[0] > 0
+        plain = run_workload("bc-calls", size=1, system="cg")
+        assert profiled.ops == plain.ops
+        assert profiled.cg_stats == plain.cg_stats
+
     def test_metrics_export_profile_gauges(self):
         from repro.api import run as run_workload
 

@@ -27,8 +27,8 @@ symbolic operand on *first execution*, then overwrite their own slot in
 the (mutable) compiled list with a specialized closure holding the
 resolved class/method — replacing the table loop's per-interpreter
 ``_static_refs`` resolution cache with a zero-lookup fast path.
-``invokevirtual`` quickens to a monomorphic inline cache keyed on the
-receiver's class.  First-execution timing is what makes this sound: an
+``invokevirtual`` keeps a per-site table from receiver class to resolved
+method.  First-execution timing is what makes this sound: an
 unreachable bad reference never raises, exactly as in the table loop, and
 a rewrite never changes which runtime services run or in what order — it
 only skips the redundant name-to-object resolution that precedes them.
@@ -68,14 +68,14 @@ class QuickeningState:
     Both the closure slots and the generated code (:mod:`repro.jvm.
     compiledcode`) speculate on the same resolution results: resolved
     statics/classes/methods for ``getstatic``/``putstatic``/``new``/
-    ``invokestatic``, and the monomorphic inline cache for
-    ``invokevirtual``.  Keeping the cells *outside* the closures (one
-    one-element list per call site) lets either half's first execution
-    feed the other: the closure generic slot resolves and fills the cell,
-    the generated code reads the cell behind a guard and
-    deopts back to the closure slot while it is still empty.  Resolution
-    is not counter-observable (it precedes the same runtime-service calls
-    in the same order), so sharing never perturbs parity.
+    ``invokestatic``, and each ``invokevirtual`` site's receiver table.
+    Keeping the cells *outside* the closures (one one-element list or one
+    dict per site) lets either half's first execution feed the other:
+    the closure generic slot resolves and fills the cell, the generated
+    code reads the cell behind a guard and deopts back to the closure
+    slot while it is still empty.  Resolution is not counter-observable
+    (it precedes the same runtime-service calls in the same order), so
+    sharing never perturbs parity.
     """
 
     __slots__ = ("cells", "vcalls")
@@ -84,7 +84,7 @@ class QuickeningState:
         #: pc -> ``[resolved-or-None]``: ``statics.get`` for getstatic,
         #: the JClass for putstatic/new, the JMethod for invokestatic.
         self.cells: dict = {}
-        #: pc -> ``([cache_cls], [cache_method])`` for invokevirtual.
+        #: pc -> ``{receiver JClass: JMethod}`` for invokevirtual.
         self.vcalls: dict = {}
 
     def cell(self, pc: int) -> list:
@@ -93,11 +93,11 @@ class QuickeningState:
             cell = self.cells[pc] = [None]
         return cell
 
-    def vcall(self, pc: int) -> Tuple[list, list]:
-        pair = self.vcalls.get(pc)
-        if pair is None:
-            pair = self.vcalls[pc] = ([None], [None])
-        return pair
+    def vcall(self, pc: int) -> dict:
+        table = self.vcalls.get(pc)
+        if table is None:
+            table = self.vcalls[pc] = {}
+        return table
 
 
 class CompiledMethod(NamedTuple):
@@ -602,12 +602,13 @@ def _q_invokevirtual(interp, runtime, quick, pc, name, nargs, nxt) -> Callable:
             raise VerifyError("invokevirtual needs a receiver")
         return op_invokevirtual_bad
 
-    # Monomorphic inline cache: receiver class -> resolved method.  The
-    # nargs check runs on every cache fill; a hit reuses a (class, method)
-    # pair that already passed it, so the table tier's per-execution check
-    # is preserved in effect.  The cells live in the shared QuickeningState
-    # so the generated code can guard on the same cache.
-    cache_cls, cache_method = quick.vcall(pc)
+    # Per-site receiver table: receiver class -> resolved method.  Only
+    # this slot fills it, after the nargs check, so a class that fails the
+    # check is never cached and raises on every visit, as in the table
+    # loop.  The table lives in the shared QuickeningState so the
+    # generated code can call through it and deopt only on a class the
+    # site has not seen.
+    table = quick.vcall(pc)
 
     def op_invokevirtual(frame, thread):
         receiver = frame.stack[-nargs]
@@ -615,17 +616,15 @@ def _q_invokevirtual(interp, runtime, quick, pc, name, nargs, nxt) -> Callable:
             raise NullPointerError(f"invokevirtual {name} on null")
         access(receiver, thread)
         cls = receiver.cls
-        if cls is cache_cls[0]:
-            method = cache_method[0]
-        else:
+        method = table.get(cls)
+        if method is None:
             method = cls.resolve_method(name)
             if method.nargs != nargs:
                 raise VerifyError(
                     f"{method.qualified_name} takes "
                     f"{method.nargs} args, call site passes {nargs}"
                 )
-            cache_cls[0] = cls
-            cache_method[0] = method
+            table[cls] = method
         frame.pc = nxt
         invoke(thread, frame, method)
         return -1

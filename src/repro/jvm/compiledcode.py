@@ -11,6 +11,7 @@ the shape::
         loc = frame.locals
         stack = frame.stack
         tid = thread.thread_id
+        frames = thread.stack.frames
         n = 0
         try:
             pc = frame.pc
@@ -35,7 +36,8 @@ sentinel protocol as the closure slots).
 with no list traffic at all.  Pops beyond the window fall back to real
 ``stack.pop()`` calls; the window is flushed back onto ``frame.stack``
 before every point where the lowered values become observable: allocation
-sites (GC roots), invokes, returns, raises, deopts, and block exits.
+sites (GC roots), invokes, returns, raises, deopts, and block exits (a
+direct call moves them into the callee's locals instead, see below).
 
 **Counting.**  ``n`` must equal the instructions actually retired at every
 observable point, so CG counters, ``runtime.ops``, injected-trap indices,
@@ -56,28 +58,35 @@ first.)
 
 **Quickening and deopt.**  The codegen reads the closure slots' shared
 :class:`~repro.jvm.closurecode.QuickeningState` cells as speculative
-constants: resolved statics/classes/methods and the monomorphic
-invokevirtual cache.  Every speculation is protected by a guard that
-*deopts* — returns ``(n, pc)`` with the current pc — whenever the cell is
-still empty or the receiver class misses the cache.  The driving loop then
-executes that one instruction through the method's closure slot (filling
-the cell, raising the error, or running the megamorphic path with exactly
-the closure slot's timing) and re-enters compiled code at the next leader
-pc.  ``spawn``, unknown opcodes, and malformed operands deopt statically
-the same way, so first-execution semantics are literally the closure
-slots' own.
+constants: resolved statics/classes/methods and each invokevirtual
+site's receiver-class table.  Every speculation is protected by a guard
+that *deopts* — returns ``(n, pc)`` with the current pc — whenever the
+cell is still empty, the receiver is not a Handle, or its class is not
+in the site's table.  The driving loop then executes that one
+instruction through the method's closure slot (filling the cell or
+table, or raising the error, with exactly the closure slot's timing) and
+re-enters compiled code at the next leader pc.  ``spawn``, unknown
+opcodes, and malformed operands deopt statically the same way, so
+first-execution semantics are literally the closure slots' own.
 
-**Threaded calls.**  An invoke site keeps the usual service sequence
-(``_invoke`` pushes the callee frame) but then drives the callee through
-``Interpreter._call_tiered`` instead of returning ``-1`` — one Python
-call per VM call rather than two driver round-trips — and continues
-inline at the post-call leader when the callee ran to completion.  The
-helper applies the exact driver discipline (budget refusal, deopt to the
-closure tail, ``-2`` accounting via ``nout[1]``), refuses a callee that
-has no generated form yet, and refuses past a VM depth guard, so the
-retired-instruction stream is bit-identical; the additive
-``nout[0] += n`` raise protocol above is what lets a fault propagate
-through nested generated frames with the exact retired count.
+**Direct calls.**  An invoke site pushes the callee frame inline (frame
+id, ``thread.started``, arguments moved into the callee's locals —
+straight from the symbolic window when an invokevirtual site's receiver
+and arguments are still there) and calls the callee's generated ``run``
+in place, so a VM call between promoted methods costs two Python frames
+(``Frame.__init__`` and the callee's ``run``), and continues inline at
+the post-call leader when the callee has returned.  ``return``/
+``retval`` and the implicit return pop their own frame inline: the CG
+frame-pop event runs only when the frame has blocks or the collector
+traces (the same no-action idiom as the inlined ``on_access`` guard),
+and a return at a ``call_sync`` mark still delivers to the sync result.
+The driver takes over, with the callee on top, when the callee has no
+generated form yet (it is never codegenned eagerly), stopped at a resume
+pc, left another frame on top, or sits at the depth guard; natives keep
+going through ``Interpreter._invoke``.  The retired-instruction stream
+is bit-identical, and the additive ``nout[0] += n`` raise protocol above
+is what lets a fault propagate through nested generated frames with the
+exact retired count.
 
 **Inlined heap services.**  ``getfield``/``putfield``/``aaload``/
 ``aastore`` replicate the collector's ``on_access`` *no-action* fast path
@@ -99,6 +108,7 @@ from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
 from . import bytecode as bc
 from .closurecode import CompiledMethod, _split_static_ref
 from .errors import NullPointerError, VerifyError
+from .frames import Frame
 from .heap import Handle
 from .model import JMethod, Program
 
@@ -207,16 +217,20 @@ class PyCompiledMethod(NamedTuple):
 _MISS = object()
 
 
-class _NullStats:
-    """Stand-in stats sink for collector-less runtimes so the inlined
-    store counting (``_stats.store_events += 1``) stays branch-free.  The
-    instance is private to one binding environment and never read."""
+class _NoCollector:
+    """Stand-in for a collector-less runtime's collector and its stats, so
+    the inlined event fast paths (``_stats.store_events += 1``, the frame-pop
+    test) stay branch-free: it never traces, no frame gets CG blocks
+    without a collector, and its counters are private to one binding
+    environment and never read."""
 
-    __slots__ = ("store_events", "putstatic_events")
+    __slots__ = ("store_events", "putstatic_events", "frame_pops", "_trace")
 
     def __init__(self) -> None:
         self.store_events = 0
         self.putstatic_events = 0
+        self.frame_pops = 0
+        self._trace = False
 
 
 def _store_ref_tail(runtime) -> Callable:
@@ -253,6 +267,14 @@ def _base_bindings(interp) -> dict:
     added on top during emission (or rebuilt from the cached binding
     names on a codegen-cache hit)."""
     runtime = interp.runtime
+    collector = runtime.collector
+    if collector is None:
+        collector = stats = _NoCollector()
+        on_frame_pop = None  # never called: see _NoCollector
+    else:
+        stats = collector.stats
+        # Taken from the instance, so profiler and ledger wrappers run.
+        on_frame_pop = collector.on_frame_pop
     return {
         "_VOID": VOID,
         "_Handle": Handle,
@@ -272,15 +294,21 @@ def _base_bindings(interp) -> dict:
         "_store_static": runtime.store_static,
         "_return_ref": runtime.return_reference,
         "_invoke": interp._invoke,
-        "_call": interp._call_tiered,
-        "_ret": interp._return,
         "_instanceof": interp._instanceof,
         "_arraycls": runtime.program.classes[Program.ARRAY],
         # Inlined heap-service fast paths (see module docstring).
         "_MISS": _MISS,
-        "_stats": (runtime.collector.stats
-                   if runtime.collector is not None else _NullStats()),
+        "_stats": stats,
         "_on_store": _store_ref_tail(runtime),
+        # Inlined frame push and pop (see module docstring).
+        "_Frame": Frame,
+        "_ids": runtime.frame_ids,
+        "_pyget": interp._pycache.get,
+        "_maxdepth": interp.CALL_THREAD_MAX_DEPTH,
+        "_cg": collector,
+        "_on_frame_pop": on_frame_pop,
+        "_sync_marks": interp._sync_marks.get,
+        "_sync_results": interp._sync_results,
     }
 
 
@@ -327,10 +355,8 @@ def _rebuild_bindings(interp, closure: CompiledMethod, code,
     for name in extra:
         if name.startswith("_q"):
             bindings[name] = quick.cell(int(name[2:]))
-        elif name.startswith("_vc"):
-            bindings[name] = quick.vcall(int(name[3:]))[0]
-        elif name.startswith("_vm"):
-            bindings[name] = quick.vcall(int(name[3:]))[1]
+        elif name.startswith("_vt"):
+            bindings[name] = quick.vcall(int(name[3:]))
         else:  # _k{pc}: a non-literal constant operand
             bindings[name] = code[int(name[2:])][1]
     return bindings
@@ -395,7 +421,7 @@ def compile_method_py(interp, method: JMethod, closure: CompiledMethod
             if len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_MAX:
                 _CODEGEN_CACHE.clear()
             extra = tuple(
-                name for name in bindings if name.startswith(("_q", "_vc", "_vm", "_k"))
+                name for name in bindings if name.startswith(("_q", "_vt", "_k"))
             )
             _CODEGEN_CACHE[key] = (source, codeobj, ordered, blen, extra)
     namespace: dict = {}
@@ -471,6 +497,7 @@ class _Codegen:
             "        loc = frame.locals",
             "        stack = frame.stack",
             "        tid = thread.thread_id",
+            "        frames = thread.stack.frames",
             "        n = 0",
             "        try:",
             "            pc = frame.pc",
@@ -530,8 +557,7 @@ class _Codegen:
             emit(indent, "if limit - n < 1:")
             emit(indent + 1, f"return n, {start}")
             emit(indent, "n += 1")
-            emit(indent, "_ret(thread, _VOID)")
-            emit(indent, "return n, -2")
+            self._emit_return(indent, None, -2)
             return
         end = leaders[idx + 1]
         # A trace is worth building only when this block continues into
@@ -742,31 +768,84 @@ class _Codegen:
         self.bindings[name] = self.quick.cell(pc)
         return name
 
-    def _vcell(self, pc: int) -> Tuple[str, str]:
-        cls_cell, method_cell = self.quick.vcall(pc)
-        cn, mn = f"_vc{pc}", f"_vm{pc}"
-        self.bindings[cn] = cls_cell
-        self.bindings[mn] = method_cell
-        return cn, mn
+    def _vtable(self, pc: int) -> str:
+        name = f"_vt{pc}"
+        self.bindings[name] = self.quick.vcall(pc)
+        return name
 
-    def _emit_threaded_call(self, indent: int, nxt: int) -> None:
-        """Post-``_invoke`` tail: drive the callee without leaving ``run``.
-
-        ``_call`` executes the just-pushed frame to completion when it can
-        (same budget/count discipline as the driving loop, see
-        ``Interpreter._call_tiered``); on success the caller continues
-        inline at the post-call leader, otherwise it returns ``-1`` and
-        the driver takes over exactly as before.
-        """
+    def _emit_call(self, indent: int, m: str, nxt: int, args) -> None:
+        """Invoke tail: enter the callee's generated code directly (see
+        "Direct calls" in the module docstring).  ``m`` names the resolved
+        method, already counted; ``args`` holds the window entries of its
+        arguments, bottom first, or is ``None`` when ``m.nargs`` of them
+        sit on the real stack."""
         emit = self.emit
-        tk = self.tmp()
-        td = self.tmp()
-        emit(indent, f"{tk}, {td} = _call(frame, thread, limit - n, nout)")
-        emit(indent, f"n += {tk}")
-        emit(indent, f"if not {td}:")
-        emit(indent + 1, "return n, -1")
+        d, callee, comp, k, p = (self.tmp() for _ in range(5))
+        emit(indent, f"frame.pc = {nxt}")
+        emit(indent, f"if {m}.native is None:")
+        body = indent + 1
+        emit(body, f"{d} = len(frames)")
+        emit(body, f"{callee} = _Frame(_ids._next, {d}, tid, {m}, {m}.nlocals)")
+        emit(body, "_ids._next += 1")
+        emit(body, f"frames.append({callee})")
+        emit(body, "thread.started = True")
+        if args is None:
+            emit(body, f"{k} = {m}.nargs")
+            emit(body, f"if {k}:")
+            emit(body + 1, f"{callee}.locals[:{k}] = stack[-{k}:]")
+            emit(body + 1, f"del stack[-{k}:]")
+        elif len(args) == 1:
+            emit(body, f"{callee}.locals[0] = {self._expr(args[0])}")
+        else:
+            emit(body, f"{k} = {callee}.locals")
+            for i, entry in enumerate(args):
+                emit(body, f"{k}[{i}] = {self._expr(entry)}")
+        emit(body, f"{comp} = _pyget({m})")
+        emit(body, f"if {comp} is None or {d} >= _maxdepth:")
+        emit(body + 1, "return n, -1")
+        emit(body, f"{k}, {p} = {comp}.run({callee}, thread, limit - n, nout)")
+        emit(body, f"n += {k}")
+        emit(body, f"if {p} != -1:")
+        emit(body + 1, f"if {p} != -2:")
+        emit(body + 2, f"{callee}.pc = {p}")
+        emit(body + 2, "return n, -1")
+        emit(body + 1, "nout[1] += 1")
+        emit(body, "if frames[-1] is not frame:")
+        emit(body + 1, "return n, -1")
+        emit(indent, "else:")
+        if args is not None:
+            for entry in args:
+                emit(indent + 1, f"stack.append({self._expr(entry)})")
+        emit(indent + 1, f"_invoke(thread, frame, {m})")
         emit(indent, f"pc = {nxt}")
         emit(indent, "continue")
+
+    def _emit_return(self, indent: int, value: Optional[str],
+                     npc: int) -> None:
+        """Inline ``Interpreter._return`` for ``frame``, delivering
+        ``value`` (``None`` for void), then ``return n, npc``.
+        ``_cg._trace`` is read at pop time: ``set_tracer`` can flip it."""
+        emit = self.emit
+        marks = self.tmp()
+        emit(indent, "frames.pop()")
+        emit(indent, "frame.popped = True")
+        emit(indent, "if frame.cg_blocks or _cg._trace:")
+        emit(indent + 1, "_on_frame_pop(frame)")
+        emit(indent, "else:")
+        emit(indent + 1, "_stats.frame_pops += 1")
+        emit(indent, f"{marks} = _sync_marks(tid)")
+        emit(indent, f"if {marks} and {marks}[-1] == frame.depth:")
+        emit(indent + 1, f"{marks}.pop()")
+        emit(indent + 1, f"_sync_results[tid] = {value}")
+        if value is None:
+            emit(indent, "elif not frames:")
+            emit(indent + 1, "thread.result = None")
+        else:
+            emit(indent, "elif frames:")
+            emit(indent + 1, f"frames[-1].stack.append({value})")
+            emit(indent, "else:")
+            emit(indent + 1, f"thread.result = {value}")
+        emit(indent, f"return n, {npc}")
 
     def _branch_target_ok(self, a) -> bool:
         return isinstance(a, int) and 0 <= a <= self.ilen
@@ -1125,9 +1204,7 @@ class _Codegen:
             self._deopt_if(indent, f"{t} is None", pc)
             self._count(indent, 1)
             self._flush(indent)  # args must be on the real stack
-            emit(indent, f"frame.pc = {nxt}")
-            emit(indent, f"_invoke(thread, frame, {t})")
-            self._emit_threaded_call(indent, nxt)
+            self._emit_call(indent, t, nxt, None)
             return True
 
         if op == bc.INVOKEVIRTUAL:
@@ -1138,29 +1215,40 @@ class _Codegen:
                 self._flush(indent)
                 emit(indent, "raise _VerifyError('invokevirtual needs a receiver')")
                 return True
-            cls_cell, method_cell = self._vcell(pc)
-            self._flush(indent)  # receiver + args may be in the window
-            t = self.tmp()
-            emit(indent, f"{t} = stack[-{b}]")
-            # Non-Handle receivers (incl. None) and cache misses deopt; the
-            # closure slot then raises / fills the cache with its timing.
-            self._deopt_if(
-                indent,
-                f"not _isinstance({t}, _Handle) or {t}.cls is not {cls_cell}[0]",
-                pc,
-            )
+            table = self._vtable(pc)
+            symbolic = len(window) >= b
+            if symbolic:
+                # Receiver and args still symbolic: they move straight
+                # into the callee's locals (the deopt and native paths
+                # spill them).
+                window[-b] = self._multi(window[-b], indent)
+                recv = self._expr(window[-b])
+            else:
+                self._flush(indent)
+                recv = self.tmp()
+                emit(indent, f"{recv} = stack[-{b}]")
+            m = self.tmp()
+            # Non-Handle receivers (incl. None) and classes the site has
+            # not seen deopt; the closure slot then raises / fills the
+            # table with its timing.
+            emit(indent, f"{m} = {table}.get(({recv}).cls) "
+                         f"if _isinstance({recv}, _Handle) else None")
+            self._deopt_if(indent, f"{m} is None", pc)
             self._count(indent, 1)
-            self._access_guard(indent, t)
-            emit(indent, f"frame.pc = {nxt}")
-            emit(indent, f"_invoke(thread, frame, {method_cell}[0])")
-            self._emit_threaded_call(indent, nxt)
+            args = None
+            if symbolic:
+                args = window[-b:]
+                for entry in window[:-b]:
+                    emit(indent, f"stack.append({self._expr(entry)})")
+                del window[:]
+            self._access_guard(indent, recv)
+            self._emit_call(indent, m, nxt, args)
             return True
 
         if op == bc.RETURN:
             self._count(indent, 1)
             self._flush(indent)  # dying frame's stack must match closure slot
-            emit(indent, "_ret(thread, _VOID)")
-            emit(indent, "return n, -1")
+            self._emit_return(indent, None, -1)
             return True
 
         if op == bc.RETVAL:
@@ -1170,8 +1258,7 @@ class _Codegen:
             ev = self._expr(value)
             emit(indent, f"if _isinstance({ev}, _Handle):")
             emit(indent + 1, f"_return_ref({ev}, thread)")
-            emit(indent, f"_ret(thread, {ev})")
-            emit(indent, "return n, -1")
+            self._emit_return(indent, ev, -1)
             return True
 
         if op == bc.SPAWN:

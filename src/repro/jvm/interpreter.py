@@ -460,7 +460,9 @@ class Interpreter:
         #: instead of the caller's operand stack (native callbacks).
         self._sync_marks: Dict[int, List[int]] = {}
         self._sync_results: Dict[int, object] = {}
-        #: The call path's one runtime call per frame push and per pop.
+        #: One runtime call per frame push and per pop, for the table loop,
+        #: the closure slots and natives; generated code pushes and pops
+        #: its frames inline (:mod:`repro.jvm.compiledcode`).
         self._runtime_push = runtime.push_frame
         self._runtime_pop = runtime.pop_frame
         #: The scheduler's registration list (grows on every new thread).
@@ -488,10 +490,11 @@ class Interpreter:
         #: ``[0]``: on an exception, the instructions retired before the
         #: raise (re-entrant: every raise path *adds* its count just-in-time
         #: and each driving-loop level consumes its value before
-        #: re-raising).  ``[1]``: implicit end-of-code returns retired
-        #: inside a threaded call (:meth:`_call_tiered`) — counted but
-        #: never ticked; each driver reads and re-zeroes it after every
-        #: generated-``run`` call.
+        #: re-raising; a callee entered directly from a generated invoke
+        #: site adds its own count, then its caller adds its own).
+        #: ``[1]``: implicit end-of-code returns of callees entered
+        #: directly — counted but never ticked; each driver reads and
+        #: re-zeroes it after every generated-``run`` call.
         self._nout: List[int] = [0, 0]
         #: Tiered dispatch (profile-guided promotion) state.  ``_hotness``
         #: maps cold methods to their hotness score (driver visits plus
@@ -889,65 +892,13 @@ class Interpreter:
         self._pycache[method] = compiled
         return compiled
 
-    #: VM call depth beyond which :meth:`_call_tiered` refuses and the
-    #: invoke falls back to the driver bounce.  Threaded calls nest two
-    #: Python frames per VM frame, so this keeps deep recursion (raytrace)
-    #: far from Python's own recursion limit; past the guard the *oldest*
-    #: refusing driver level drives deeper frames iteratively.
+    #: VM call depth at which a generated invoke site stops entering its
+    #: callee's generated code directly and hands the pushed frame to the
+    #: driver instead.  Direct calls nest one Python frame per VM frame,
+    #: so this keeps deep recursion (raytrace) far from Python's own
+    #: recursion limit; past the guard the driver runs each deeper frame
+    #: from its own loop.
     CALL_THREAD_MAX_DEPTH = 64
-
-    def _call_tiered(self, frame, thread: JThread, budget: int,
-                     nout) -> Tuple[int, bool]:
-        """Drive the frame an invoke site just pushed, without leaving
-        generated code: bound as ``_call`` into every generated method, so
-        a VM call between promoted methods costs one Python call instead
-        of two driver round-trips.
-
-        ``frame`` is the *caller*; if it is still on top the invoke was a
-        native that completed inline and there is nothing to drive.
-        Returns ``(executed, done)``.  ``done=False`` hands control back
-        to :meth:`_step_n_tiered` with identical semantics — budget
-        exhausted, a deopt pc needing the closure tail, the recursion
-        guard, or a callee with no generated form yet (threading through
-        a cold callee would codegen it eagerly, the warmup cost tiering
-        exists to avoid; the driver's cold path runs it on closures and
-        counts its hotness).  Ticking stays the outer driver's job;
-        implicit end-of-code returns accumulate in ``nout[1]`` (consumed
-        there).
-        """
-        frames = thread.stack.frames
-        if frames[-1] is frame:
-            return 0, True
-        stop_depth = len(frames) - 1
-        if stop_depth >= self.CALL_THREAD_MAX_DEPTH:
-            return 0, False
-        executed = 0
-        pycache = self._pycache
-        while len(frames) > stop_depth:
-            if executed >= budget:
-                return executed, False
-            callee = frames[-1]
-            comp = pycache.get(callee.method)
-            if comp is None:
-                return executed, False
-            pc = callee.pc
-            if pc not in comp.leaders:
-                return executed, False
-            nout[0] = 0
-            try:
-                k, npc = comp.run(callee, thread, budget - executed, nout)
-            except BaseException:
-                nout[0] += executed
-                raise
-            executed += k
-            if npc == -2:
-                nout[1] += 1
-                continue
-            if npc < 0:
-                continue
-            callee.pc = npc
-            return executed, False
-        return executed, True
 
     #: Hotness score of one loop backedge retired on closures (a driver
     #: visit scores 1): a tight loop should get hot in a few iterations,
@@ -1086,7 +1037,7 @@ class Interpreter:
                     executed += k
                     u = nout[1]
                     if u:
-                        # Implicit returns retired inside threaded calls:
+                        # Implicit returns of directly entered callees:
                         # counted in k, excluded from the tick (read and
                         # re-zeroed here so a sync-nested driver never
                         # consumes another level's increments).

@@ -332,10 +332,19 @@ class Runtime:
         return thread.stack.push(method, nlocals)
 
     def pop_frame(self, thread: JThread) -> Frame:
-        """Pop the active frame; the CG collector reclaims its blocks."""
+        """Pop the active frame; the CG collector reclaims its blocks.
+
+        A frame with no blocks, popped while the collector does not trace,
+        takes ``on_frame_pop``'s no-action path inline: only the pop is
+        counted.  Generated code inlines the same test.
+        """
         frame = thread.stack.pop()
-        if self.collector is not None:
-            self.collector.on_frame_pop(frame)
+        collector = self.collector
+        if collector is not None:
+            if frame.cg_blocks or collector._trace:
+                collector.on_frame_pop(frame)
+            else:
+                collector.stats.frame_pops += 1
         return frame
 
     def current_frame(self, thread: JThread) -> Frame:

@@ -376,9 +376,9 @@ class TestWorkloadDifferential:
 
 
 POLY_SOURCE = (
-    # Two unrelated receiver classes at one invokevirtual site: the
-    # generated code's monomorphic class guard fails on every other call,
-    # deopting to the closure slots mid-block at the current pc.
+    # Two unrelated receiver classes at one invokevirtual site: the first
+    # call of each class misses the site's receiver table, deopting to the
+    # closure slots mid-block at the current pc.
     "class Square\n"
     + "method Square.area(1)\n    const 4\n    retval\n"
     + "class Circle\n"
@@ -406,9 +406,9 @@ class TestCompiledDeopt:
     """Guard failures and quantum tails must be invisible in the results."""
 
     def test_polymorphic_guard_deopt_mid_block(self):
-        # The call site alternates Square/Circle, so whichever class the
-        # site quickens to, half the calls fail the guard and finish the
-        # block on closure slots.  Every leg still agrees exactly.
+        # The call site alternates Square/Circle, so each class's first
+        # call fails the guard and finishes the block on closure slots.
+        # Every leg still agrees exactly.
         assert_parity(POLY_SOURCE, [], POLY_EXPECTED)
 
     def test_deopt_site_stays_on_generated_code(self):

@@ -172,26 +172,40 @@ class TestVmWiring:
         assert sum(profiler.depth_seconds.values()) > 0.0
 
     def test_profiled_run_takes_threaded_calls(self, monkeypatch):
-        # Profiling must not fork the dispatch path: generated code binds
-        # the same threaded-call helper as in a plain run, so profiled
-        # timings describe the production path.  Wrapped on the class
-        # before the runtime exists, since the binding is taken at codegen.
-        from repro.api import run as run_workload
+        # Profiling must not fork the dispatch path: promoted callers enter
+        # promoted callees directly in a profiled run as in a plain one,
+        # so profiled timings describe the production path.  The runtime
+        # services a direct call skips are wrapped on their classes before
+        # the runtime exists, since generated code binds them at codegen;
+        # both runs start cold so they promote at the same points.
+        from repro.api import RunRequest, execute
+        from repro.core.collector import ContaminatedCollector
         from repro.jvm.interpreter import Interpreter
+        from repro.jvm.runtime import Runtime
 
         monkeypatch.setenv("REPRO_DISPATCH", "tiered")
-        calls = [0]
-        real = Interpreter._call_tiered
+        calls = {}
+        for owner, name in ((Runtime, "push_frame"),
+                            (Interpreter, "_invoke"),
+                            (ContaminatedCollector, "on_frame_pop")):
+            def counting(*args, _real=getattr(owner, name), _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args)
 
-        def counting(self, *args):
-            calls[0] += 1
-            return real(self, *args)
+            monkeypatch.setattr(owner, name, counting)
 
-        monkeypatch.setattr(Interpreter, "_call_tiered", counting)
-        profiled = run_workload("bc-calls", size=1, system="cg",
-                                profile=True)
-        assert calls[0] > 0
-        plain = run_workload("bc-calls", size=1, system="cg")
+        def run(profile):
+            calls.clear()
+            result = execute(RunRequest("bc-calls", 1, "cg", profile=profile,
+                                        cold_start=True))
+            return result, dict(calls)
+
+        profiled, profiled_calls = run(True)
+        plain, plain_calls = run(False)
+        assert profiled_calls == plain_calls
+        # bc-calls size 1 makes 9,000 VM calls; all but the few before
+        # promotion skip the runtime services.
+        assert sum(plain_calls.values()) < 900, plain_calls
         assert profiled.ops == plain.ops
         assert profiled.cg_stats == plain.cg_stats
 

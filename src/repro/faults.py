@@ -315,7 +315,7 @@ class CrashDump:
 
     Built on the same base serializer as the live-inspection heartbeat
     (:func:`repro.obs.heartbeat.runtime_snapshot`): both carry the
-    ``cg-snapshot/5`` schema tag plus heap occupancy, equilive/recycle
+    ``cg-snapshot/6`` schema tag plus heap occupancy, equilive/recycle
     censuses, frame stacks, and fault stats.  A crash dump adds the
     postmortem sections (``reason``/``site``/``trace_tail``/``retained``/
     ``fault_plan``); a heartbeat adds liveness identity and the metrics

@@ -38,7 +38,7 @@ headline number is the cg-vs-table geomean, which ``--check``
 additionally gates with :data:`DISPATCH_FLOOR`: the baseline snapshot
 must record at least the floor, and the live measurement must stay
 within the noise tolerance of it.  Each cell also reports the one-time
-closure-compile + codegen warmup, split into ``compile_ms_first_iter``
+link + codegen warmup, split into ``compile_ms_first_iter``
 (cold: the cross-runtime codegen cache cleared first — what the first
 request of a fresh process pays) and ``compile_ms`` (steady-state:
 caches warm, the binding-rebuild cost every later run pays) — both
@@ -91,8 +91,9 @@ BENCH_VERSION = 7
 #: caught 3.04x, BENCH_7 2.84x; the per-workload ratios barely move —
 #: the spread is which end of the noise band each cell's minimum
 #: samples), so the floor sits just below the band: low enough that an
-#: honest re-measurement always clears it, far above the ~1.5x
-#: closures-only geomean a broken promotion path would record.
+#: honest re-measurement always clears it, far above the ~1x a broken
+#: promotion path would record (unpromoted methods run the table
+#: handlers).
 DISPATCH_FLOOR = 2.5
 
 
@@ -158,16 +159,16 @@ def _harvest_compile_ms(workload: str, size: int, system: str,
                         cold: bool = False) -> float:
     """One-time dispatch-compilation warmup for a cell, in milliseconds.
 
-    The sum of the ``compile`` (closure compilation) and ``codegen``
-    (Python source generation + ``compile``/``exec``) profiler phases
-    from one *extra* profiled run — the timed repeats stay unprofiled so
-    the phase timers never tax the wall clocks being reported.  The
-    table mode never compiles and reports 0.0.
+    The ``codegen`` profiler phase (link + Python source generation +
+    ``compile``/``exec``) from one *extra* profiled run — the timed
+    repeats stay unprofiled so the phase timers never tax the wall
+    clocks being reported.  The table mode never compiles and reports
+    0.0.
 
     ``cold=False`` (the ``compile_ms`` column): the cross-runtime codegen
     cache is warm by harvest time (the timed repeats populated it), so
-    the codegen share reflects the steady-state binding-rebuild cost —
-    the same cost the timed walls contain.  ``cold=True`` (the
+    it reflects the steady-state link + binding-rebuild cost — the same
+    cost the timed walls contain.  ``cold=True`` (the
     ``compile_ms_first_iter`` column): the in-memory cache is cleared
     first, so the measurement is what the first run of a fresh process
     pays — full source generation + ``compile`` for every method the
@@ -180,9 +181,7 @@ def _harvest_compile_ms(workload: str, size: int, system: str,
         clear_codegen_caches()
     result = run_workload(workload, size, system, profile=True)
     gauges = result.metrics.get("gauges", {})
-    seconds = (gauges.get("profile.compile_s", 0.0)
-               + gauges.get("profile.codegen_s", 0.0))
-    return seconds * 1000.0
+    return gauges.get("profile.codegen_s", 0.0) * 1000.0
 
 
 def _run_bench_pooled(workloads: Sequence[str], systems: Sequence[str],

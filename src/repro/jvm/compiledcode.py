@@ -1,11 +1,13 @@
 """Compiled dispatch: the hot half of the tiered mode.
 
 Once ``RuntimeConfig(dispatch="tiered")`` promotes a method, its bytecode
-is compiled once per runtime into generated Python *source* — straight-line
+is compiled once per process into generated Python *source* — straight-line
 code with the operand stack lowered to Python local variables, branches as
-jumps within a ``while`` state machine over basic blocks — ``exec``'d once
-and cached by the interpreter like ``_ccache``.  The generated function has
-the shape::
+jumps within a ``while`` state machine over basic blocks — ``exec``'d and
+bound once per runtime, and cached by the interpreter in ``_pycache``.
+Until then, and wherever the generated code gives up, the method runs on
+the table loop's opcode handlers.  The generated function has the
+shape::
 
     def run(frame, thread, limit, nout):
         loc = frame.locals
@@ -27,8 +29,8 @@ the shape::
 
 and returns ``(n, next_pc)`` where ``n`` is the number of instructions
 retired and ``next_pc`` is a resumption pc, ``-1`` (frame changed), or
-``-2`` (implicit end-of-code return, counted but never ticked — the same
-sentinel protocol as the closure slots).
+``-2`` (implicit end-of-code return, counted but never ticked, as in the
+table loop).
 
 **Stack lowering.**  Within one basic block the codegen tracks a symbolic
 *window* of top-of-stack entries — constants, local slots, and temporaries
@@ -46,28 +48,29 @@ Pure, non-raising instructions batch their increments into a compile-time
 ``pending`` count; ``pending`` is flushed into ``n`` (plus one for the
 current instruction) immediately *before* every instruction that can raise
 or call a runtime service — the same "count then execute" order as the
-closure loop's ``n += 1; pc = ccode[pc](...)``.  A block is entered only
-if the whole block fits the remaining budget (``limit - n < blen`` refuses
-at the block's entry pc); the driving loop fills the tail of a quantum by
-single-stepping closure slots, so per-quantum totals and thread
-interleavings never change.  (One accepted divergence: a *type*-confused
-pure instruction — e.g. ``add`` on a Handle — raises with up to a trace's
-``pending`` uncounted; no assembled program does this, and every checked
-error path — div-zero, null checks, verify errors, service faults — flushes
-first.)
+table loop's ``executed += 1; handlers[op](...)``.  A block is entered
+only if the whole block fits the remaining budget (``limit - n < blen``
+refuses at the block's entry pc); the driving loop fills the tail of a
+quantum by single-stepping table handlers, so per-quantum totals and
+thread interleavings never change.  (One accepted divergence: a
+*type*-confused pure instruction — e.g. ``add`` on a Handle — raises with
+up to a trace's ``pending`` uncounted; no assembled program does this,
+and every checked error path — div-zero, null checks, verify errors,
+service faults — flushes first.)
 
-**Quickening and deopt.**  The codegen reads the closure slots' shared
-:class:`~repro.jvm.closurecode.QuickeningState` cells as speculative
-constants: resolved statics/classes/methods and each invokevirtual
-site's receiver-class table.  Every speculation is protected by a guard
-that *deopts* — returns ``(n, pc)`` with the current pc — whenever the
-cell is still empty, the receiver is not a Handle, or its class is not
-in the site's table.  The driving loop then executes that one
-instruction through the method's closure slot (filling the cell or
-table, or raising the error, with exactly the closure slot's timing) and
-re-enters compiled code at the next leader pc.  ``spawn``, unknown
-opcodes, and malformed operands deopt statically the same way, so
-first-execution semantics are literally the closure slots' own.
+**Linking and deopt.**  The generated code reads the link result of
+:func:`repro.jvm.closurecode.compile_method` as speculative constants:
+resolved statics/classes/methods and each invokevirtual site's
+receiver-class table, which a miss on a Handle receiver fills in place
+(:func:`~repro.jvm.closurecode.link_virtual`).  Every speculation is
+protected by a guard that *deopts* — returns ``(n, pc)`` with the
+current pc — whenever a resolution failed, the receiver is not a Handle,
+or its class does not link.  The driving loop then executes that
+instruction through its table handler (raising the error with exactly
+the table loop's timing) and re-enters compiled code at the next
+affordable leader pc.  ``spawn``, unknown opcodes, and malformed
+operands deopt statically the same way, so every slow path is the table
+oracle's own code.
 
 **Direct calls.**  An invoke site pushes the callee frame inline (frame
 id, ``thread.started``, arguments moved into the callee's locals —
@@ -106,7 +109,10 @@ from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Tuple)
 
 from . import bytecode as bc
-from .closurecode import CompiledMethod, _split_static_ref
+# The link step is called through the module attribute, at call time:
+# the perfbench ledger wraps ``closurecode.compile_method`` by name.
+from . import closurecode
+from .closurecode import QuickeningState, _split_static_ref
 from .errors import NullPointerError, VerifyError
 from .frames import Frame
 from .heap import Handle
@@ -130,7 +136,7 @@ def _bind_interpreter_symbols() -> None:
 #: Maximum instructions per generated block.  Long straight-line runs are
 #: split at synthetic leaders so the all-or-nothing block budget check
 #: refuses at most MAX_BLOCK-1 instructions before a quantum boundary —
-#: bounding the closure-dispatched tail of every quantum.
+#: bounding the handler-dispatched tail of every quantum.
 MAX_BLOCK = 8
 
 #: ``op -> (pops, pushes)`` for the straight-line opcodes, used to place
@@ -196,13 +202,14 @@ class PyCompiledMethod(NamedTuple):
     #: ``run(frame, thread, limit, nout) -> (n, next_pc)``.
     run: Callable
     #: Valid entry pcs (basic-block leaders incl. synthetic splits and the
-    #: ``len(code)`` sentinel).  The driving loop single-steps closure
-    #: slots until the pc is a member.
+    #: ``len(code)`` sentinel).  The driving loop single-steps table
+    #: handlers until the pc is a member.
     leaders: FrozenSet[int]
     #: The generated source, kept for inspection and tests.
     source: str
-    #: The closure form: deopt target and quickening-cell owner.
-    closure: CompiledMethod
+    #: This runtime's link result (:func:`repro.jvm.closurecode.
+    #: compile_method`): the resolutions and receiver tables ``run`` reads.
+    links: QuickeningState
     #: leader pc -> its block's instruction count (the exact quantity the
     #: generated budget checks compare against).  A pure driving-loop
     #: heuristic: the quantum tail re-enters generated code only at a
@@ -263,9 +270,9 @@ def _store_ref_tail(runtime) -> Callable:
 def _base_bindings(interp) -> dict:
     """The method-independent names closed over by every generated
     ``_make`` factory — runtime/interpreter services plus a handful of
-    builtins.  Per-pc quickening cells and non-literal constants are
-    added on top during emission (or rebuilt from the cached binding
-    names on a codegen-cache hit)."""
+    builtins.  Per-pc link results and non-literal constants are added
+    on top during emission (or rebuilt from the cached binding names on
+    a codegen-cache hit)."""
     runtime = interp.runtime
     collector = runtime.collector
     if collector is None:
@@ -295,6 +302,7 @@ def _base_bindings(interp) -> dict:
         "_return_ref": runtime.return_reference,
         "_invoke": interp._invoke,
         "_instanceof": interp._instanceof,
+        "_link_virtual": closurecode.link_virtual,
         "_arraycls": runtime.program.classes[Program.ARRAY],
         # Inlined heap-service fast paths (see module docstring).
         "_MISS": _MISS,
@@ -314,12 +322,12 @@ def _base_bindings(interp) -> dict:
 
 #: Cross-runtime cache of generated code, keyed by (qualified name,
 #: bytecode): ``(source, codeobj, leaders, blen, extra binding names)``.
-#: The generated source depends only on the bytecode — quickening cells
-#: are *read through* per-runtime bindings at run time, never inspected
-#: at codegen time — so a fresh runtime executing the same program (bench
+#: The generated source depends only on the bytecode — link results are
+#: *read through* per-runtime bindings at run time, never inspected at
+#: codegen time — so a fresh runtime executing the same program (bench
 #: repeats, parity differentials, the test suite) skips source generation
-#: and ``compile`` and only rebuilds the binding environment.  It lives
-#: in memory only: each process codegens a promoted method once.
+#: and ``compile`` and only links and rebuilds the binding environment.
+#: It lives in memory only: each process codegens a promoted method once.
 _CODEGEN_CACHE: dict = {}
 _CODEGEN_CACHE_MAX = 512
 
@@ -344,28 +352,25 @@ def _cache_lookup(method: JMethod):
     return key, _CODEGEN_CACHE.get(key)
 
 
-def _rebuild_bindings(interp, closure: CompiledMethod, code,
-                      extra) -> dict:
+def _rebuild_bindings(interp, links: QuickeningState, code, extra) -> dict:
     """Reconstruct a cached entry's binding environment: the base
-    services plus the per-pc quickening cells and non-literal constants
-    recorded in ``extra`` (names only — the cells themselves are always
-    the *current* closure's, so quickening state stays per-runtime)."""
+    services plus the per-pc link results and non-literal constants
+    recorded in ``extra`` (names only — the values are always this
+    runtime's ``links``, so link state stays per-runtime)."""
     bindings = _base_bindings(interp)
-    quick = closure.quick
     for name in extra:
         if name.startswith("_q"):
-            bindings[name] = quick.cell(int(name[2:]))
+            bindings[name] = links.values[int(name[2:])]
         elif name.startswith("_vt"):
-            bindings[name] = quick.vcall(int(name[3:]))
+            bindings[name] = links.vcalls[int(name[3:])]
         else:  # _k{pc}: a non-literal constant operand
             bindings[name] = code[int(name[2:])][1]
     return bindings
 
 
-def cached_method_py(interp, method: JMethod, closure: CompiledMethod
-                     ) -> Optional[PyCompiledMethod]:
+def cached_method_py(interp, method: JMethod) -> Optional[PyCompiledMethod]:
     """Build ``method``'s generated form from the codegen cache alone, or
-    return ``None`` — never invokes the codegen.
+    return ``None`` — never invokes the codegen, and links only on a hit.
 
     The tiered driver probes this on a cold method's first visit: the
     hotness profile exists to decide whether paying for codegen is
@@ -380,22 +385,24 @@ def cached_method_py(interp, method: JMethod, closure: CompiledMethod
     if cached is None:
         return None
     source, codeobj, ordered, blen, extra = cached
-    bindings = _rebuild_bindings(interp, closure, method.code, extra)
+    links = closurecode.compile_method(interp, method)
+    bindings = _rebuild_bindings(interp, links, method.code, extra)
     namespace: dict = {}
     exec(codeobj, namespace)
     run = namespace["_make"](**bindings)
-    return PyCompiledMethod(run, frozenset(ordered), source, closure, blen)
+    return PyCompiledMethod(run, frozenset(ordered), source, links, blen)
 
 
-def compile_method_py(interp, method: JMethod, closure: CompiledMethod
-                      ) -> PyCompiledMethod:
-    """Generate, ``compile`` and ``exec`` the Python form of ``method``."""
+def compile_method_py(interp, method: JMethod) -> PyCompiledMethod:
+    """Link ``method``, then generate, ``compile`` and ``exec`` its
+    Python form (the codegen half is skipped on a codegen-cache hit)."""
     _bind_interpreter_symbols()
     code = method.code
+    links = closurecode.compile_method(interp, method)
     key, cached = _cache_lookup(method)
     if cached is not None:
         source, codeobj, ordered, blen, extra = cached
-        bindings = _rebuild_bindings(interp, closure, code, extra)
+        bindings = _rebuild_bindings(interp, links, code, extra)
     else:
         base = method.block_starts
         if base is None:
@@ -408,7 +415,7 @@ def compile_method_py(interp, method: JMethod, closure: CompiledMethod
             if hi - lo > MAX_BLOCK:
                 leaders.update(_synthetic_splits(code, lo, hi))
         ordered = sorted(leaders)
-        gen = _Codegen(interp, method, closure, ordered)
+        gen = _Codegen(interp, method, links, ordered)
         source = gen.generate()
         # Counted here, not in the interpreter wrapper: only a true
         # generation (a cache miss) is a "codegenned" method.
@@ -427,7 +434,7 @@ def compile_method_py(interp, method: JMethod, closure: CompiledMethod
     namespace: dict = {}
     exec(codeobj, namespace)
     run = namespace["_make"](**bindings)
-    return PyCompiledMethod(run, frozenset(ordered), source, closure, blen)
+    return PyCompiledMethod(run, frozenset(ordered), source, links, blen)
 
 
 #: Comparison branches -> Python operator (int compares and identity).
@@ -466,11 +473,11 @@ class _Codegen:
     drain at every observable point (see module docstring).
     """
 
-    def __init__(self, interp, method: JMethod, closure: CompiledMethod,
+    def __init__(self, interp, method: JMethod, links: QuickeningState,
                  leaders: List[int]) -> None:
         self.code = method.code
         self.ilen = len(method.code)
-        self.quick = closure.quick
+        self.links = links
         self.leaders = leaders
         self.lindex = {pc: i for i, pc in enumerate(leaders)}
         self.lines: List[str] = []
@@ -478,7 +485,7 @@ class _Codegen:
         self.pending = 0
         self.ntemp = 0
         #: Name -> object closed over by the generated ``_make`` factory.
-        #: Per-pc quickening cells and non-literal constants are added
+        #: Per-pc link results and non-literal constants are added
         #: during emission.
         self.bindings = _base_bindings(interp)
 
@@ -519,7 +526,7 @@ class _Codegen:
 
         Every chain ends in ``else: return n, pc`` so a non-leader entry
         pc (mid-block resume after a deopt) hands control straight back to
-        the driving loop's closure single-step.
+        the driving loop's table single-step.
         """
         if hi - lo <= 4:
             keyword = "if"
@@ -543,7 +550,7 @@ class _Codegen:
     #: block boundaries — until the trace reaches this many instructions.
     #: Every block still has its own arm for mid-trace entry, and a slow
     #: copy of the arm's first block keeps refusal at MAX_BLOCK
-    #: granularity near quantum boundaries, so the closure-dispatched
+    #: granularity near quantum boundaries, so the handler-dispatched
     #: tail stays short.  The cap bounds code growth.
     MAX_TRACE = 48
 
@@ -645,7 +652,7 @@ class _Codegen:
         emit = self.emit
         # Refuse at the block's entry pc if the whole block does not
         # fit, and let the driving loop fill the quantum tail via
-        # closure single-steps.  n only ever charges instructions
+        # table single-steps.  n only ever charges instructions
         # actually retired, so refusal is invisible.
         emit(indent, f"if limit - n < {end - start}:")
         emit(indent + 1, f"return n, {start}")
@@ -713,14 +720,14 @@ class _Codegen:
     def _count(self, indent: int, extra: int = 0) -> None:
         """Flush ``pending`` (+ ``extra`` for the current instruction)
         into ``n`` — emitted before every can-raise point so ``n`` counts
-        a faulting instruction exactly as the closure loop does."""
+        a faulting instruction exactly as the table loop does."""
         total = self.pending + extra
         if total:
             self.emit(indent, f"n += {total}")
         self.pending = 0
 
     def _deopt_if(self, indent: int, cond: str, pc: int) -> None:
-        """Guard: bail to the closure slot at ``pc`` when ``cond`` holds.
+        """Guard: bail to the table handler at ``pc`` when ``cond`` holds.
         The current instruction has *not* executed, so only ``pending``
         flushes; window state is spilled but kept for the fast path."""
         self.emit(indent, f"if {cond}:")
@@ -739,7 +746,7 @@ class _Codegen:
     def _raise_guard(self, indent: int, cond: str, exc: str) -> None:
         """Null-check-style raise: call after ``_count`` so the faulting
         instruction is already charged; spill so the frame's real stack
-        matches the closure slot's at the raise."""
+        matches the table handler's at the raise."""
         self.emit(indent, f"if {cond}:")
         self._spill(indent + 1)
         self.emit(indent + 1, f"raise {exc}")
@@ -763,14 +770,14 @@ class _Codegen:
         self.bindings[name] = value
         return name
 
-    def _cell(self, pc: int) -> str:
+    def _linked(self, pc: int) -> str:
         name = f"_q{pc}"
-        self.bindings[name] = self.quick.cell(pc)
+        self.bindings[name] = self.links.values[pc]
         return name
 
     def _vtable(self, pc: int) -> str:
         name = f"_vt{pc}"
-        self.bindings[name] = self.quick.vcall(pc)
+        self.bindings[name] = self.links.vcalls[pc]
         return name
 
     def _emit_call(self, indent: int, m: str, nxt: int, args) -> None:
@@ -1052,23 +1059,19 @@ class _Codegen:
 
         if op == bc.GETSTATIC:
             _cls_name, field = _split_static_ref(a)
-            cell = self._cell(pc)
-            t = self.tmp()
-            emit(indent, f"{t} = {cell}[0]")
-            self._deopt_if(indent, f"{t} is None", pc)
+            q = self._linked(pc)
+            self._deopt_if(indent, f"{q} is None", pc)
             result = self.tmp()
-            # The cell holds the resolved class's statics.get — pure.
-            emit(indent, f"{result} = {t}({field!r})")
+            # Linked to the resolved class's statics.get — pure.
+            emit(indent, f"{result} = {q}({field!r})")
             window.append(("temp", result))
             self.pending += 1
             return False
 
         if op == bc.PUTSTATIC:
             _cls_name, field = _split_static_ref(a)
-            cell = self._cell(pc)
-            t = self.tmp()
-            emit(indent, f"{t} = {cell}[0]")
-            self._deopt_if(indent, f"{t} is None", pc)
+            q = self._linked(pc)
+            self._deopt_if(indent, f"{q} is None", pc)
             value = self._multi(self._pop(indent), indent)
             self._count(indent, 1)
             ev = self._expr(value)
@@ -1076,21 +1079,19 @@ class _Codegen:
             # table write plus the counter the service would bump.  Handle
             # values (pinning, liveness check) go through the service.
             emit(indent, f"if _isinstance({ev}, _Handle):")
-            emit(indent + 1, f"_store_static({field!r}, {ev}, {t})")
+            emit(indent + 1, f"_store_static({field!r}, {ev}, {q})")
             emit(indent, "else:")
-            emit(indent + 1, f"{t}.statics[{field!r}] = {ev}")
+            emit(indent + 1, f"{q}.statics[{field!r}] = {ev}")
             emit(indent + 1, "_stats.putstatic_events += 1")
             return False
 
         if op == bc.NEW:
-            cell = self._cell(pc)
-            t = self.tmp()
-            emit(indent, f"{t} = {cell}[0]")
-            self._deopt_if(indent, f"{t} is None", pc)
+            q = self._linked(pc)
+            self._deopt_if(indent, f"{q} is None", pc)
             self._count(indent, 1)
             self._flush(indent)  # allocation: lowered values must be roots
             result = self.tmp()
-            emit(indent, f"{result} = _allocate({t}, thread)")
+            emit(indent, f"{result} = _allocate({q}, thread)")
             window.append(("temp", result))
             return False
 
@@ -1198,17 +1199,15 @@ class _Codegen:
             return False
 
         if op == bc.INVOKESTATIC:
-            cell = self._cell(pc)
-            t = self.tmp()
-            emit(indent, f"{t} = {cell}[0]")
-            self._deopt_if(indent, f"{t} is None", pc)
+            q = self._linked(pc)
+            self._deopt_if(indent, f"{q} is None", pc)
             self._count(indent, 1)
             self._flush(indent)  # args must be on the real stack
-            self._emit_call(indent, t, nxt, None)
+            self._emit_call(indent, q, nxt, None)
             return True
 
         if op == bc.INVOKEVIRTUAL:
-            if not isinstance(b, int):
+            if not isinstance(a, str) or not isinstance(b, int):
                 return self._deopt(indent, pc)
             if b < 1:
                 self._count(indent, 1)
@@ -1228,10 +1227,11 @@ class _Codegen:
                 recv = self.tmp()
                 emit(indent, f"{recv} = stack[-{b}]")
             m = self.tmp()
-            # Non-Handle receivers (incl. None) and classes the site has
-            # not seen deopt; the closure slot then raises / fills the
-            # table with its timing.
-            emit(indent, f"{m} = {table}.get(({recv}).cls) "
+            # A class the site has not seen is linked here; non-Handle
+            # receivers (incl. None) and classes that fail to link deopt,
+            # and the table handler raises with its timing.
+            emit(indent, f"{m} = ({table}.get(({recv}).cls) or "
+                         f"_link_virtual({table}, ({recv}).cls, {a!r}, {b})) "
                          f"if _isinstance({recv}, _Handle) else None")
             self._deopt_if(indent, f"{m} is None", pc)
             self._count(indent, 1)
@@ -1247,7 +1247,7 @@ class _Codegen:
 
         if op == bc.RETURN:
             self._count(indent, 1)
-            self._flush(indent)  # dying frame's stack must match closure slot
+            self._flush(indent)  # dying frame's stack must match the handler's
             self._emit_return(indent, None, -1)
             return True
 
@@ -1262,7 +1262,7 @@ class _Codegen:
             return True
 
         if op == bc.SPAWN:
-            # Always via the closure slot: thread creation is rare and its
+            # Always via the table handler: thread creation is rare and its
             # scheduler/fault interactions stay in exactly one place.
             return self._deopt(indent, pc)
 
@@ -1300,6 +1300,6 @@ class _Codegen:
             emit(indent, "continue")
             return True
 
-        # Unknown opcode: the closure slot raises VerifyError with
+        # Unknown opcode: the table handler raises VerifyError with
         # first-execution timing.
         return self._deopt(indent, pc)

@@ -11,11 +11,12 @@ Two dispatch modes share this file's runtime services and must produce
 identical stats on every program: ``table`` (the loop below — the oracle
 the opcode-parity suite and the perfbench reference compare against) and
 ``tiered`` (the default, :meth:`Interpreter._step_n_tiered`).  Tiered
-starts each method on pre-bound closures (:mod:`repro.jvm.closurecode`)
-under a per-method invocation + loop-backedge hotness counter and
-promotes it at a call boundary, once hot, to generated Python source
-with guard-protected speculation that deopts back to the closures
-(:mod:`repro.jvm.compiledcode`).
+runs each method on the same opcode handlers under a per-method
+invocation + loop-backedge hotness counter and promotes it at a call
+boundary, once hot, to generated Python source
+(:mod:`repro.jvm.compiledcode`, linked by :mod:`repro.jvm.closurecode`)
+with guard-protected speculation that deopts back to the handlers.  So
+each opcode is implemented twice, as a handler and as a codegen rule.
 
 Threading: :meth:`Interpreter.run_program` drives the deterministic
 round-robin scheduler — while two or more threads are runnable, each
@@ -35,7 +36,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
 
 from ..faults import NativeCallFault, TrapFault, did_you_mean, inject
-from ..obs.profile import PHASE_CODEGEN, PHASE_COMPILE, PHASE_INTERPRET
+from ..obs.profile import PHASE_CODEGEN, PHASE_INTERPRET
 from . import bytecode as bc
 from .errors import NullPointerError, VerifyError, VMError
 from .heap import Handle
@@ -460,9 +461,9 @@ class Interpreter:
         #: instead of the caller's operand stack (native callbacks).
         self._sync_marks: Dict[int, List[int]] = {}
         self._sync_results: Dict[int, object] = {}
-        #: One runtime call per frame push and per pop, for the table loop,
-        #: the closure slots and natives; generated code pushes and pops
-        #: its frames inline (:mod:`repro.jvm.compiledcode`).
+        #: One runtime call per frame push and per pop, for the handlers
+        #: (table and tiered alike) and natives; generated code pushes and
+        #: pops its frames inline (:mod:`repro.jvm.compiledcode`).
         self._runtime_push = runtime.push_frame
         self._runtime_pop = runtime.pop_frame
         #: The scheduler's registration list (grows on every new thread).
@@ -480,11 +481,9 @@ class Interpreter:
                   for op, handler in enumerate(_HANDLERS))
             if self.count_ops else _HANDLERS
         )
-        #: JMethod -> CompiledMethod, tiered's closure half.  Per-interpreter:
-        #: compiled closures bind this runtime's services.
-        self._ccache: Dict[JMethod, object] = {}
-        #: JMethod -> PyCompiledMethod, tiered's compiled half (the
-        #: generated Python form; its closure form lives in ``_ccache``).
+        #: JMethod -> PyCompiledMethod, the generated Python form of each
+        #: promoted method.  Per-interpreter: it is linked against this
+        #: runtime's program and binds this runtime's services.
         self._pycache: Dict[JMethod, object] = {}
         #: Out-parameter cells for the generated functions.
         #: ``[0]``: on an exception, the instructions retired before the
@@ -511,14 +510,12 @@ class Interpreter:
         self._cache_probed: set = set()
         self._promote_after: int = config.promote_after
         #: Always-on compile accounting, independent of the profiler: wall
-        #: seconds and method counts for the one-time closure-compile and
-        #: codegen paths.  Feeds ``vm.compile.*`` metrics, the snapshot
-        #: ``compile`` section, and the bench compile_ms split — cheap
-        #: (two perf_counter calls per *method*, not per instruction), so
-        #: unprofiled runs keep their counters bit-identical.
-        self.compile_seconds: float = 0.0
+        #: seconds of the one-time link + codegen path and method counts.
+        #: Feeds ``vm.compile.*`` metrics, the snapshot ``compile``
+        #: section, and the bench compile_ms split — cheap (two
+        #: perf_counter calls per promoted *method*, not per instruction),
+        #: so unprofiled runs keep their counters bit-identical.
         self.codegen_seconds: float = 0.0
-        self.methods_compiled: int = 0
         self.methods_codegenned: int = 0
         self.methods_promoted: int = 0
         dispatch = config.dispatch
@@ -819,50 +816,17 @@ class Interpreter:
         return executed
 
     # ------------------------------------------------------------------
-    # Tiered dispatch: closure half (repro.jvm.closurecode) and compiled
-    # half (repro.jvm.compiledcode)
+    # Tiered dispatch: the table handlers plus generated code
+    # (repro.jvm.compiledcode)
     # ------------------------------------------------------------------
 
-    def _compiled_for(self, method: JMethod):
-        """Closure-compiled form of ``method`` (compiled once, then cached).
-
-        Compilation is charged to the profiler's ``compile`` phase so the
-        one-time cost is visible separately from interpretation.
-        """
-        try:
-            return self._ccache[method]
-        except KeyError:
-            pass
-        from .closurecode import compile_method
-
-        started = perf_counter()
-        compiled = compile_method(self, method)
-        elapsed = perf_counter() - started
-        self.compile_seconds += elapsed
-        self.methods_compiled += 1
-        profiler = self.runtime.profiler
-        if profiler.enabled:
-            profiler.add(PHASE_COMPILE, elapsed)
-        self._ccache[method] = compiled
-        return compiled
-
     def _py_compiled_for(self, method: JMethod):
-        """Generated-Python form of ``method`` (compiled once, then cached).
-
-        The closure form is built first — it is the deopt target and owns
-        the quickening cells the codegen reads — and keeps its
-        ``PHASE_COMPILE`` charge; source generation + ``exec`` is charged
-        to ``PHASE_CODEGEN`` so warmup cost decomposes per half.
-        """
-        try:
-            return self._pycache[method]
-        except KeyError:
-            pass
-        closure = self._compiled_for(method)
+        """Link and, on a codegen-cache miss, codegen ``method`` (once per
+        runtime).  Both are charged to ``PHASE_CODEGEN``."""
         from .compiledcode import compile_method_py
 
         started = perf_counter()
-        compiled = compile_method_py(self, method, closure)
+        compiled = compile_method_py(self, method)
         elapsed = perf_counter() - started
         self.codegen_seconds += elapsed
         profiler = self.runtime.profiler
@@ -874,14 +838,13 @@ class Interpreter:
     def _py_cached_for(self, method: JMethod):
         """Cache-only twin of :meth:`_py_compiled_for`: adopt a form
         generated earlier in this process without ever running the
-        codegen, or return ``None``.  The binding rebuild a
-        hit still pays is charged to ``PHASE_CODEGEN`` like any other
-        warmup cost."""
-        closure = self._compiled_for(method)
+        codegen, or return ``None``.  The link and binding rebuild a hit
+        still pays are charged to ``PHASE_CODEGEN`` like any other warmup
+        cost; a miss links nothing."""
         from .compiledcode import cached_method_py
 
         started = perf_counter()
-        compiled = cached_method_py(self, method, closure)
+        compiled = cached_method_py(self, method)
         elapsed = perf_counter() - started
         if compiled is None:
             return None
@@ -900,41 +863,45 @@ class Interpreter:
     #: from its own loop.
     CALL_THREAD_MAX_DEPTH = 64
 
-    #: Hotness score of one loop backedge retired on closures (a driver
-    #: visit scores 1): a tight loop should get hot in a few iterations,
-    #: not a few thousand visits.
+    #: Hotness score of one loop backedge retired on the table handlers
+    #: (a driver visit scores 1): a tight loop should get hot in a few
+    #: iterations, not a few thousand visits.
     PROMOTE_BACKEDGE_WEIGHT = 8
 
     def _step_n_tiered(self, thread: JThread, budget: int,
                        stop_depth: int = 0) -> int:
-        """The tiered-dispatch loop: profile-guided closure-to-compiled
-        promotion.
+        """The tiered-dispatch loop: profile-guided promotion from the
+        table handlers to generated code.
 
-        Cold methods run the closure inner loop, ``pc = ccode[pc](frame,
-        thread)``, while a hotness score accumulates: +1 per driver
-        visit, +:data:`PROMOTE_BACKEDGE_WEIGHT` per backward branch
-        observed in the segment.  A segment stops at the backedge that
-        brings the score to ``promote_after``, and the method is promoted
-        at its next visit: codegenned, then entered through its
-        generated ``run`` at every leader pc, with the closure slots
-        single-stepping the deopt path and each slice's tail.  (Stopping
+        A method with no generated form runs a table segment — the table
+        loop's own decode, count and handler call — while a hotness score
+        accumulates: +1 per driver visit, +:data:`PROMOTE_BACKEDGE_WEIGHT`
+        per backward branch retired in the segment.  The segment stops at
+        the backedge that brings the score to ``promote_after``, and the
+        method is promoted at its next visit: linked and codegenned, then
+        entered through its generated ``run`` at every leader pc.  (Stopping
         there keeps promotion independent of slice length: a loop shorter
-        than one lone slice is promoted too.)
+        than one lone slice is promoted too.)  A promoted method's deopts
+        and each slice's tail run a table segment too, up to the next
+        leader whose whole block fits the budget.  Every segment also ends
+        where the thread's frame depth changes (invoke, return); a native
+        invoke leaves it unchanged.
 
         Tick accounting matches the batched table loop: decoded
         instructions (including a faulting one) tick in one flush per
-        call; implicit end-of-code returns (the ``-2`` sentinel) are
-        executed but never ticked.  On an exception, generated ``run``
-        stores its retired count in the shared ``_nout`` cell so a
-        faulting instruction is charged exactly as in the table loop.
+        call; implicit end-of-code returns (generated ``-2``) are executed
+        but never ticked.  On an exception, generated ``run`` stores its
+        retired count in the shared ``_nout`` cell so a faulting
+        instruction is charged exactly as in the table loop.
 
-        Soundness: the closure slots and the generated code are each
-        counter-identical to the table oracle on every program (the
-        parity suite sweeps ``promote_after`` from first-visit to never),
-        so *any* per-method interleaving of the two is counter-identical
-        too — hotness only decides which half spends the wall time.  The
-        score itself is derived from driver visits, never from
-        ``runtime.ops``, and is read by nothing but this loop.
+        Soundness: the generated code is counter-identical to the table
+        oracle on every program (the parity suite sweeps ``promote_after``
+        from first-visit to never), and every slow path — first execution,
+        deopt, slice tail, error timing — is the oracle's own handler, so
+        any per-method interleaving of the two is counter-identical too;
+        hotness only decides which spends the wall time.  The score itself
+        is derived from driver visits, never from ``runtime.ops``, and is
+        read by nothing but this loop.
         """
         runtime = self.runtime
         executed = 0
@@ -943,8 +910,9 @@ class Interpreter:
         if profiler.enabled:
             profile_started = perf_counter()
             profile_depth = len(frames)
-        ccache = self._ccache
-        compiled_for = self._compiled_for
+        handlers = _HANDLERS
+        op_count = bc.OP_COUNT
+        _return = self._return
         pycache = self._pycache
         py_for = self._py_compiled_for
         py_cached_for = self._py_cached_for
@@ -978,107 +946,91 @@ class Interpreter:
                         # fall through to the compiled protocol for this
                         # very visit.  The mid-method case (a quantum
                         # tail left pc at a non-leader) is covered by the
-                        # closure segment below, exactly like a deopt.
+                        # table segment below, exactly like a deopt.
                         comp = py_for(method)
                         hot.pop(method, None)
                         self.methods_promoted += 1
-                    elif comp is None:
-                        # Cold: closure inner loop + backedge profiling,
-                        # stopping at the backedge that brings the score
-                        # to the threshold so the next visit promotes.
-                        cm = ccache.get(method) or compiled_for(method)
-                        ccode = cm.ccode
-                        pc = frame.pc
-                        if pc > cm.ilen:
-                            # Wild branch past the end: implicit return,
-                            # as in the table loop.
-                            pc = cm.ilen
-                        limit = budget - executed
-                        n = 0
-                        back = 0
-                        hot_at = (threshold - score + bweight - 1) // bweight
+                if comp is None:
+                    # Cold: stop at the backedge that brings the score to
+                    # the threshold, so the next visit promotes.
+                    leaders = None
+                    hot_at = (threshold - score + bweight - 1) // bweight
+                else:
+                    # Promoted: generated code at leader pcs.
+                    leaders = comp.leaders
+                    if frame.pc in leaders:
+                        nout[0] = 0
                         try:
-                            while n < limit:
-                                n += 1
-                                prev = pc
-                                pc = ccode[pc](frame, thread)
-                                if pc < 0:
-                                    if pc == -2:
-                                        unticked += 1
-                                    break
-                                if pc <= prev:
-                                    back += 1
-                                    if back == hot_at:
-                                        break
-                        finally:
-                            # Also on a SliceEnd out of the segment.
-                            executed += n
-                            if back:
-                                score += back * bweight
-                            hot[method] = score
-                        if pc >= 0:
-                            frame.pc = pc
-                        continue
-                # Promoted: generated code at leader pcs.
-                leaders = comp.leaders
-                pc = frame.pc
-                if pc in leaders:
-                    nout[0] = 0
-                    try:
-                        k, npc = comp.run(frame, thread, budget - executed,
-                                          nout)
-                    except BaseException:
-                        executed += nout[0]
+                            k, npc = comp.run(frame, thread,
+                                              budget - executed, nout)
+                        except BaseException:
+                            executed += nout[0]
+                            u = nout[1]
+                            if u:
+                                unticked += u
+                                nout[1] = 0
+                            raise
+                        executed += k
                         u = nout[1]
                         if u:
+                            # Implicit returns of directly entered callees:
+                            # counted in k, excluded from the tick (read
+                            # and re-zeroed here so a sync-nested driver
+                            # never consumes another level's increments).
                             unticked += u
                             nout[1] = 0
-                        raise
-                    executed += k
-                    u = nout[1]
-                    if u:
-                        # Implicit returns of directly entered callees:
-                        # counted in k, excluded from the tick (read and
-                        # re-zeroed here so a sync-nested driver never
-                        # consumes another level's increments).
-                        unticked += u
-                        nout[1] = 0
-                    if npc == -2:
-                        unticked += 1
-                        continue
-                    if npc < 0:
-                        continue
-                    frame.pc = npc
-                    if executed >= budget:
-                        continue
-                # Closure-dispatched segment: the deopt path and the
-                # quantum tail (npc was a refused leader whose block no
-                # longer fits the budget, or a deopt pc mid-block).  Only
-                # break at a leader whose whole block is affordable, so
-                # ``run`` is never re-entered just to refuse again; any
-                # pc past the end is the implicit return, as in ``table``.
-                cm = comp.closure
-                ccode = cm.ccode
-                blen = comp.blen
-                pc = frame.pc
-                if pc > cm.ilen:
-                    pc = cm.ilen
+                        if npc == -2:
+                            unticked += 1
+                            continue
+                        if npc < 0:
+                            continue
+                        frame.pc = npc
+                        if executed >= budget:
+                            continue
+                    # The deopt path and the quantum tail (npc was a
+                    # refused leader whose block no longer fits the
+                    # budget, or a deopt pc mid-block): only break at a
+                    # leader whose whole block is affordable, so ``run``
+                    # is never re-entered just to refuse again.
+                    blen = comp.blen
+                # The table segment: the table loop's order, one handler
+                # call per instruction; any pc past the end is the
+                # implicit return.
+                code = method.code
+                depth = len(frames)
                 limit = budget - executed
                 n = 0
+                back = 0
                 try:
                     while n < limit:
+                        pc = frame.pc
+                        if pc >= len(code):
+                            _return(thread, VOID)
+                            n += 1
+                            unticked += 1
+                            break
+                        op, a, b = code[pc]
+                        frame.pc = pc + 1
                         n += 1
-                        pc = ccode[pc](frame, thread)
-                        if pc < 0:
-                            if pc == -2:
-                                unticked += 1
+                        if op >= op_count or op < 0:
+                            raise VerifyError(f"unknown opcode {op}")
+                        handlers[op](self, runtime, thread, frame, a, b)
+                        if len(frames) != depth:
                             break
-                        if pc in leaders and limit - n >= blen[pc]:
-                            break
+                        if leaders is None:
+                            if frame.pc <= pc:
+                                back += 1
+                                if back == hot_at:
+                                    break
+                        else:
+                            pc = frame.pc
+                            if pc in leaders and limit - n >= blen[pc]:
+                                break
                 finally:
+                    # Also on a SliceEnd out of the segment.
                     executed += n
-                if pc >= 0:
-                    frame.pc = pc
+                    if leaders is None:
+                        hot[method] = score + back * bweight
         except SliceEnd:
             pass
         finally:

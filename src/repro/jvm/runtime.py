@@ -46,9 +46,9 @@ DISPATCH_CHOICES = ("tiered", "table")
 def default_dispatch() -> str:
     """The default interpreter dispatch mode.
 
-    ``tiered`` (profile-guided: closures until hot, then promotion to
-    generated code) unless the ``REPRO_DISPATCH`` environment knob
-    overrides it — the CI dispatch-matrix job uses the knob to run the
+    ``tiered`` (profile-guided: the table handlers until hot, then
+    promotion to generated code) unless the ``REPRO_DISPATCH`` environment
+    knob overrides it — the CI dispatch-matrix job uses the knob to run the
     whole tier-1 suite under each mode.  The value is validated against
     :data:`DISPATCH_CHOICES` by ``RuntimeConfig.__post_init__`` exactly
     like the kwarg path, so a typo'd env value fails at config load with
@@ -84,14 +84,13 @@ class RuntimeConfig:
     #: size-class allocator (opt-in, never used by the paper's tables).
     allocator: str = "next-fit"
     #: Interpreter dispatch strategy: "tiered" (the default — methods
-    #: start on pre-bound zero-decode closures with quickening,
-    #: :mod:`repro.jvm.closurecode`, under an invocation + loop-backedge
-    #: hotness counter, and are promoted at a call boundary once hot to
-    #: generated Python source with guarded speculation that deopts back
-    #: to the closures, :mod:`repro.jvm.compiledcode`) or "table" (the
-    #: opcode-indexed handler tuple — the oracle the opcode-parity suite
-    #: and the perfbench reference compare against).  The
-    #: ``REPRO_DISPATCH`` env var overrides the default.
+    #: start on the table's opcode handlers under an invocation +
+    #: loop-backedge hotness counter, and are promoted at a call boundary
+    #: once hot to generated Python source with guarded speculation that
+    #: deopts back to the handlers, :mod:`repro.jvm.compiledcode`) or
+    #: "table" (the opcode-indexed handler tuple — the oracle the
+    #: opcode-parity suite and the perfbench reference compare against).
+    #: The ``REPRO_DISPATCH`` env var overrides the default.
     dispatch: str = field(default_factory=default_dispatch)
     #: Tiered-dispatch promotion threshold: a method is promoted to
     #: generated code at its next call boundary once its hotness counter

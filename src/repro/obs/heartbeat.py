@@ -62,7 +62,9 @@ from typing import Dict, List, Optional
 #: v5 dropped the section's ``methods_recompiled``, ``cache_hits`` and
 #: ``cache_misses`` (the adaptive recompile and the on-disk codegen
 #: cache are gone).
-SNAPSHOT_SCHEMA = "cg-snapshot/5"
+#: v6 dropped the section's ``methods_compiled`` and ``compile_ms`` (the
+#: closure tier is gone; ``codegen_ms`` includes the link step).
+SNAPSHOT_SCHEMA = "cg-snapshot/6"
 
 #: Snapshots retained per run file (a ring: older beats roll off).
 DEFAULT_RING = 16
@@ -146,10 +148,8 @@ def runtime_snapshot(runtime) -> Dict:
     interp = getattr(runtime, "_interpreter", None)
     data["compile"] = (
         {
-            "methods_compiled": interp.methods_compiled,
             "methods_codegenned": interp.methods_codegenned,
             "methods_promoted": interp.methods_promoted,
-            "compile_ms": interp.compile_seconds * 1000.0,
             "codegen_ms": interp.codegen_seconds * 1000.0,
         }
         if interp is not None else None

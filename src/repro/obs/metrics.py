@@ -142,11 +142,9 @@ def collect_runtime_metrics(
 
     # --- compile budget (always-on interpreter accounting) ----------------
     if interp is not None:
-        reg.set_counter("vm.compile.methods", interp.methods_compiled)
         reg.set_counter("vm.compile.codegenned", interp.methods_codegenned)
         reg.set_counter("vm.compile.promoted", interp.methods_promoted)
-        reg.set_gauge("vm.compile.ms", (interp.compile_seconds
-                                        + interp.codegen_seconds) * 1000.0)
+        reg.set_gauge("vm.compile.ms", interp.codegen_seconds * 1000.0)
 
     # --- heap + allocator -------------------------------------------------
     heap = runtime.heap

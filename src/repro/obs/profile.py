@@ -40,30 +40,24 @@ PHASE_INTERPRET = "interpret"
 PHASE_CG_EVENTS = "cg-events"
 PHASE_MSA = "msa"
 PHASE_RECYCLE = "recycle-search"
-#: One-time closure compilation under ``dispatch="tiered"`` — charged per
-#: method at first invocation, never on the hot loop.  (A promoted method
-#: always has its closure form built first: it is the deopt target and
-#: owns the quickening cells.)
-PHASE_COMPILE = "compile"
-#: One-time Python-source generation + ``exec`` when tiered dispatch
-#: promotes a method, charged separately from
-#: :data:`PHASE_COMPILE` so warmup cost decomposes into "closure compile"
-#: vs "codegen" — the bench harness's ``compile_ms`` column is the sum.
+#: One-time link + Python-source generation + ``exec`` when tiered
+#: dispatch promotes a method (a codegen-cache hit pays only the link and
+#: the binding rebuild) — never on the hot loop.  The bench harness's
+#: ``compile_ms`` column reads this phase.
 PHASE_CODEGEN = "codegen"
 
 #: Phases that count as *collector pause time* for per-request
 #: attribution: the tracing collector (allocation-failure or periodic
 #: MSA), CG's event handlers, and the recycle-list search.  Interpreter
-#: and one-time compile/codegen phases are mutator/warmup time.
+#: and one-time codegen phases are mutator/warmup time.
 PAUSE_PHASES = frozenset({PHASE_MSA, PHASE_CG_EVENTS, PHASE_RECYCLE})
 
 #: Phases that count as *warmup* (one-time compilation) for per-request
-#: attribution: a request that first-invokes a method eats its closure
-#: compile and codegen right inside the request window.  Tracked
-#: separately from :data:`PAUSE_PHASES` so ``bench --sla`` can show
-#: warmup pauses shrinking under tiered dispatch while collector pauses
-#: stay untouched.
-WARMUP_PHASES = frozenset({PHASE_COMPILE, PHASE_CODEGEN})
+#: attribution: a request that promotes a method eats its codegen right
+#: inside the request window.  Tracked separately from
+#: :data:`PAUSE_PHASES` so ``bench --sla`` can show warmup pauses
+#: shrinking under tiered dispatch while collector pauses stay untouched.
+WARMUP_PHASES = frozenset({PHASE_CODEGEN})
 
 #: Pause-histogram bucket upper bounds in milliseconds (log-ish scale);
 #: a sample lands in the first bucket whose bound is >= its duration,
@@ -109,7 +103,7 @@ class PhaseProfiler:
         self.request_totals: List[float] = []
         self.request_pauses: List[float] = []
         #: Per-request warmup time: :data:`WARMUP_PHASES` (one-time
-        #: compile/codegen) samples that landed inside the window — the
+        #: codegen) samples that landed inside the window — the
         #: compile-budget attribution the tiered dispatch mode exists to
         #: shrink on early requests.
         self.request_compiles: List[float] = []
@@ -228,7 +222,7 @@ class PhaseProfiler:
             "request_ms": _nearest_rank(sorted(totals)),
             "pause_ms": _nearest_rank(sorted(pauses)),
             "mutator_ms": _nearest_rank(sorted(mutator)),
-            # Warmup attribution: compile/codegen time that landed inside
+            # Warmup attribution: codegen time that landed inside
             # request windows, plus the first request's wall and compile
             # share — the cold-start numbers tiered promotion shrinks.
             "compile_ms": _nearest_rank(sorted(compiles)),

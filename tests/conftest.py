@@ -40,9 +40,10 @@ def make_runtime(
     return runtime
 
 
-#: A ``promote_after`` no test program reaches: tiered then runs only its
-#: closure half (on cleared codegen caches — a warm cache promotes a
-#: method at its first visit whatever the threshold).
+#: A ``promote_after`` no test program reaches: tiered then runs every
+#: method on the table handlers, with its hotness profiling (on cleared
+#: codegen caches — a warm cache promotes a method at its first visit
+#: whatever the threshold).
 NEVER_PROMOTE = 1_000_000
 
 #: ``(dispatch, promote_after)`` for every cross-dispatch parity leg: the
@@ -61,8 +62,8 @@ def dispatch_sweep(run) -> dict:
 
     ``run(dispatch, promote_after)`` builds and runs one runtime and
     returns ``(outcome, runtime)``.  The never-promote leg starts on
-    cleared codegen caches and must promote nothing, so the closure half
-    really runs.
+    cleared codegen caches and must promote nothing, so its cold segments
+    really run the whole program.
     """
     from repro.jvm.compiledcode import clear_codegen_caches
 

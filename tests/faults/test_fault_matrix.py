@@ -193,8 +193,8 @@ class TestFaultDispatchParity:
     ``tests.conftest.DISPATCH_LEGS``) stop at exactly the same instruction
     with the same fault_stats.  Generated code runs multi-instruction
     traces: the budget slice must refuse a trace it cannot finish and fall
-    back to single-stepped closures so the trap still lands on the exact
-    index.  Promotion adds a boundary: the trap index must be unchanged
+    back to single-stepped table handlers so the trap still lands on the
+    exact index.  Promotion adds a boundary: the trap index must be unchanged
     whether it lands before or after a method's promotion.
     """
 
@@ -247,8 +247,8 @@ class TestFaultDispatchParity:
     @pytest.mark.parametrize("after", [3, 25, 120, 400])
     def test_trap_index_unchanged_across_promotion(self, after):
         # A hot loop under aggressive promotion (promote_after=2): early
-        # ``after`` values land while Main.main is still on closure
-        # slots, late ones after it has been promoted to generated code.
+        # ``after`` values land while Main.main is still on the table
+        # handlers, late ones after it has been promoted to generated code.
         # Either side of the boundary, the trap must land on exactly the
         # same instruction index the table oracle stops at.
         hot_loop = (

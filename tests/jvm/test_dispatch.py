@@ -2,20 +2,20 @@
 
 The interpreter ships two dispatch modes: the opcode-indexed handler table
 (``dispatch="table"``), the oracle, and ``tiered`` (the default), which
-starts every method on pre-bound closures with quickening and promotes it
-at a call boundary, once a hotness counter crosses ``promote_after``, to
-generated Python source that deopts back to the closure slots at guard
-failures and quantum tails.  Every parity check runs tiered at
-``promote_after`` 1,000,000 on cold caches (the closure half alone), 1
+runs every method on the same handlers and promotes it at a call
+boundary, once a hotness counter crosses ``promote_after``, to generated
+Python source that deopts back to the handlers at guard failures and
+quantum tails.  Every parity check runs tiered at ``promote_after``
+1,000,000 on cold caches (handlers only, with the hotness profiling), 1
 (generated code from each method's first visit) and the default 128, and
 requires results, instruction counts, and VM state identical to table —
 and the parity corpus must collectively exercise *every* opcode, so a new
-opcode cannot be added to one half and forgotten in the other.
+opcode cannot be added to the handlers and forgotten in the codegen.
 
-The closure half gets extra scrutiny: quickening must rewrite slots in
-place without changing observable behaviour.  The compiled half gets its
-own: deopt mid-block, deopt at a quantum boundary, and generated-code
-reuse across invocations must all be invisible.
+Linking gets extra scrutiny: resolution at promotion must neither raise
+early nor change observable behaviour.  The generated code gets its own:
+deopt mid-block, deopt at a quantum boundary, and generated-code reuse
+across invocations must all be invisible.
 """
 
 import pytest
@@ -23,8 +23,9 @@ import pytest
 from repro import CGPolicy, Runtime, RuntimeConfig, assemble
 from repro.api import config_for
 from repro.jvm import bytecode as bc
+from repro.jvm import closurecode
 from repro.jvm.compiledcode import clear_codegen_caches
-from repro.jvm.errors import VerifyError
+from repro.jvm.errors import LinkageError, VerifyError
 from repro.workloads.base import get_workload
 from tests.conftest import (
     NEVER_PROMOTE,
@@ -214,9 +215,9 @@ QUICKEN_SOURCE = (
 )
 
 
-def run_closures(source, **config_kwargs):
-    """Tiered dispatch confined to its closure half (cold caches, a
-    threshold the program never reaches)."""
+def run_cold(source, **config_kwargs):
+    """Tiered dispatch that never promotes (cold caches, a threshold the
+    program never reaches): every method runs on the table handlers."""
     clear_codegen_caches()
     result, rt = run_one(source, [], "tiered", promote_after=NEVER_PROMOTE,
                          **config_kwargs)
@@ -224,43 +225,84 @@ def run_closures(source, **config_kwargs):
     return result, rt
 
 
-class TestQuickening:
-    """First execution rewrites a slot with its specialized closure."""
+#: ``Main.main`` loops 60 times and reads a static of a class that does
+#: not exist on pass 40, after every tiered leg has promoted it.
+LATE_BAD_STATIC = (
+    MAIN
+    + "    const 0\n    store 0\n"
+    + "loop:\n"
+    + "    load 0\n    const 60\n    if_icmpge done\n"
+    + "    load 0\n    const 40\n    if_icmpne skip\n"
+    + "    getstatic NoSuchClass.f\n    pop\n"
+    + "skip:\n"
+    + "    iinc 0 1\n    goto loop\n"
+    + "done:\n    const 1\n    retval\n"
+)
 
-    def test_slots_rewritten_after_first_execution(self):
-        result, rt = run_closures(QUICKEN_SOURCE)
+
+class TestLinking:
+    """Promotion links a method's symbolic operands once per runtime."""
+
+    def test_promoted_method_links_every_reachable_entry(self):
+        result, rt = run_one(QUICKEN_SOURCE, [], "tiered", promote_after=1)
         assert result == 42 - 7
-        method = rt.program.lookup("Main").methods["main"]
-        compiled = rt.interpreter._ccache[method]
-        quickened = {bc.GETSTATIC: "op_getstatic",
-                     bc.PUTSTATIC: "op_putstatic",
-                     bc.INVOKESTATIC: "op_invokestatic",
-                     bc.NEW: "op_new"}
+        program = rt.program
+        method = program.lookup("Main").methods["main"]
+        links = rt.interpreter._pycache[method].links
+        config = program.lookup("Config")
+        worker = program.lookup("Worker")
+        want = {bc.PUTSTATIC: config, bc.NEW: worker,
+                bc.INVOKESTATIC: program.resolve("Main.twice")}
         for pc, (op, _, _) in enumerate(method.code):
-            want = quickened.get(op)
-            if want is None:
-                continue
-            got = compiled.ccode[pc].__name__
-            assert got == want, (
-                f"pc {pc} ({bc.OPCODE_NAMES[op]}) still generic: {got}"
-            )
-            assert not got.endswith("_generic")
+            if op == bc.GETSTATIC:
+                assert links.values[pc].__self__ is config.statics
+            elif op in want:
+                assert links.values[pc] is want[op], bc.OPCODE_NAMES[op]
+            elif op == bc.INVOKEVIRTUAL:
+                assert links.vcalls[pc] == {
+                    worker: worker.resolve_method("answer")}
 
-    def test_rerun_reuses_quickened_code(self):
-        # Second invocation goes straight through the rewritten slots and
-        # must produce the same answer (the cache is per-method identity).
-        first, rt = run_closures(QUICKEN_SOURCE)
-        method = rt.program.lookup("Main").methods["main"]
-        compiled = rt.interpreter._ccache[method]
-        slots_after_first = list(compiled.ccode)
-        second = rt.run("Main.main", [])
-        assert first == second == 35
-        # No re-quickening churn: the slots are stable after one pass.
-        assert list(compiled.ccode) == slots_after_first
+    def test_cold_run_links_nothing(self, monkeypatch):
+        # Linking is the promoted form's step: a method that stays on the
+        # table handlers is never linked.
+        calls = []
+        link = closurecode.compile_method
+
+        def counted(interp, method):
+            calls.append(method.qualified_name)
+            return link(interp, method)
+
+        monkeypatch.setattr(closurecode, "compile_method", counted)
+        result, rt = run_cold(QUICKEN_SOURCE)
+        assert result == 42 - 7
+        assert calls == []
+        clear_codegen_caches()
+        result, rt = run_one(QUICKEN_SOURCE, [], "tiered", promote_after=1)
+        assert result == 42 - 7
+        assert len(calls) == rt.interpreter.methods_promoted == 3
+
+    def test_bad_reference_after_promotion_raises_like_table(self):
+        # The link leaves the entry empty; generated code deopts there and
+        # the table handler raises, at the same op on every leg.
+        def run(dispatch, promote_after):
+            program = assemble(LATE_BAD_STATIC)
+            rt = Runtime(RuntimeConfig(dispatch=dispatch,
+                                       promote_after=promote_after),
+                         program=program)
+            with pytest.raises(LinkageError) as raised:
+                rt.run("Main.main", [])
+            if dispatch == "tiered" and promote_after != NEVER_PROMOTE:
+                assert rt.interpreter.methods_promoted == 1
+            return (str(raised.value), rt.ops), rt
+
+        outcomes = dispatch_sweep(run)
+        assert len(set(outcomes.values())) == 1, outcomes
+        # Two set-up ops, 40 passes of 8, and 7 up to the faulting getstatic.
+        assert outcomes["table"][1] == 2 + 40 * 8 + 7
 
     def test_unreachable_bad_reference_never_raises(self):
-        # Resolution happens at first *execution*, not at compile time, so
-        # a dead getstatic naming a missing class must stay harmless.
+        # Linking leaves an unresolvable entry empty instead of raising,
+        # so a dead getstatic naming a missing class stays harmless.
         source = (
             MAIN
             + "    goto ok\n"
@@ -309,7 +351,7 @@ class TestSuperinstructions:
     @pytest.mark.parametrize("quantum", [1, 2, 3, 7, 100])
     def test_quantum_split_never_skids(self, quantum):
         # Generated blocks are all-or-nothing against the budget; the tail
-        # of every quantum single-steps closure slots, so a split can land
+        # of every quantum single-steps table handlers, so a split can land
         # between the halves of any pair.  Whatever the quantum, every leg
         # agrees with table bit for bit.
         assert_parity(PAIRS_LOOP, [], 200 * (11 + 3), quantum=quantum)
@@ -377,8 +419,8 @@ class TestWorkloadDifferential:
 
 POLY_SOURCE = (
     # Two unrelated receiver classes at one invokevirtual site: the first
-    # call of each class misses the site's receiver table, deopting to the
-    # closure slots mid-block at the current pc.
+    # call of each class misses the site's receiver table, and generated
+    # code links the class there.
     "class Square\n"
     + "method Square.area(1)\n    const 4\n    retval\n"
     + "class Circle\n"
@@ -407,8 +449,8 @@ class TestCompiledDeopt:
 
     def test_polymorphic_guard_deopt_mid_block(self):
         # The call site alternates Square/Circle, so each class's first
-        # call fails the guard and finishes the block on closure slots.
-        # Every leg still agrees exactly.
+        # call misses the receiver table and links inline.  Every leg
+        # still agrees exactly.
         assert_parity(POLY_SOURCE, [], POLY_EXPECTED)
 
     def test_deopt_site_stays_on_generated_code(self):
@@ -424,21 +466,21 @@ class TestCompiledDeopt:
 
     @pytest.mark.parametrize("quantum", [1, 2, 3, 7])
     def test_guard_deopt_at_quantum_boundary(self, quantum):
-        # Tiny quanta force the driver's closure tail at nearly every
-        # block boundary, so deopted instructions and generated-code
+        # Tiny quanta force the driver's table tail at nearly every
+        # block boundary, so handler-run instructions and generated-code
         # instructions interleave within a single slice.  Tick totals and
         # heap state still match the table oracle bit for bit.
         assert_parity(POLY_SOURCE, [], POLY_EXPECTED, quantum=quantum)
 
     def test_deopt_at_fused_pair_boundary(self):
-        # The deopt target is the closure form, one slot per instruction:
+        # The deopt target is the table handlers, one per instruction:
         # a single-instruction quantum lands every deopt between the
         # halves of a pair, which must not skid.
         assert_parity(PAIRS_LOOP, [], 200 * (11 + 3), quantum=1)
 
     def test_codegen_cache_shared_across_runtimes(self):
         # Identical bytecode in a fresh runtime reuses the cached
-        # generated source and code object; only the quickening-cell
+        # generated source and code object; only the link and its
         # bindings are rebuilt per runtime.
         result1, rt1 = run_one(POLY_SOURCE, [], "tiered", promote_after=1)
         m1 = rt1.program.lookup("Main").methods["main"]
@@ -553,9 +595,9 @@ class TestTieredPromotion:
     def test_polymorphic_mid_block_deopts_keep_parity(self):
         # An alternating-receiver call site placed *mid-block* (POLY_SOURCE
         # puts its site at a branch target, i.e. a block leader, whose
-        # guard deopts re-enter at a leader): every other call deopts to
-        # the closure slots in the middle of a block, and parity must
-        # still hold.
+        # guard deopts re-enter at a leader): each class's first call
+        # misses the receiver table in the middle of a block, and parity
+        # must still hold.
         source = (
             "class Square\n"
             + "method Square.area(1)\n    const 4\n    retval\n"

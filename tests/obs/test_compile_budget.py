@@ -1,9 +1,9 @@
 """Compile-budget accounting surfaces: metrics, snapshots, request latency.
 
-The interpreter's always-on compile counters (closure compiles, codegen,
-promotions) feed three read-only surfaces — ``vm.compile.*`` in the
-metrics registry, the ``compile`` section of the ``cg-snapshot/5``
-schema, and the per-request ``compile_ms`` attribution in
+The interpreter's always-on compile counters (codegen, promotions, and
+the link + codegen wall time) feed three read-only surfaces —
+``vm.compile.*`` in the metrics registry, the ``compile`` section of the
+``cg-snapshot/6`` schema, and the per-request ``compile_ms`` attribution in
 ``RunResult.latency``.  All three must be pure observation: armed or
 not, a run's counters stay bit-identical.  A cold run codegens each
 promoted method exactly once.
@@ -44,7 +44,6 @@ class TestMetricsSurface:
     def test_vm_compile_counters_present(self):
         rt = run_tiered(promote_after=4)
         snapshot = collect_runtime_metrics(rt).snapshot()
-        assert snapshot["vm.compile.methods"] > 0
         assert snapshot["vm.compile.codegenned"] > 0
         assert snapshot["vm.compile.promoted"] > 0
         assert snapshot["vm.compile.ms"] > 0.0
@@ -59,16 +58,18 @@ class TestMetricsSurface:
         snapshot = collect_runtime_metrics(rt).snapshot()
         assert snapshot["vm.compile.codegenned"] == 0
         assert snapshot["vm.compile.promoted"] == 0
-        assert snapshot["vm.compile.methods"] > 0  # closure tier still compiles
 
     def test_compiled_system_promotes_every_method(self):
-        # cg-compiled is tiered at promote_after=1: on cold caches every
-        # method it compiles to closures is codegenned at its first visit.
-        counters = execute(RunRequest("bc-calls", 1, "cg-compiled",
-                                      cold_start=True)).metrics["counters"]
-        assert counters["vm.compile.methods"] > 0
-        assert (counters["vm.compile.promoted"]
-                == counters["vm.compile.methods"])
+        # cg-compiled's setting, promote_after=1, on cold caches: every
+        # method entered (Main.main and Main.step) is codegenned at its
+        # first visit.
+        from repro.jvm.compiledcode import clear_codegen_caches
+
+        clear_codegen_caches()
+        rt = run_tiered(promote_after=1)
+        counters = collect_runtime_metrics(rt).snapshot()
+        assert counters["vm.compile.promoted"] == 2
+        assert counters["vm.compile.codegenned"] == 2
 
     @pytest.mark.parametrize("request_kwargs", [
         dict(workload="bc-calls", size=1),
@@ -90,22 +91,19 @@ class TestMetricsSurface:
         # No interpreter yet -> the compile block is absent, not zeroed.
         rt = Runtime(RuntimeConfig())
         snapshot = collect_runtime_metrics(rt).snapshot()
-        assert "vm.compile.methods" not in snapshot
+        assert "vm.compile.promoted" not in snapshot
 
 
 class TestSnapshotSurface:
     def test_compile_section_in_snapshot(self):
         rt = run_tiered(promote_after=4)
         data = runtime_snapshot(rt)
-        assert data["schema"] == "cg-snapshot/5"
+        assert data["schema"] == "cg-snapshot/6"
         compile_section = data["compile"]
         assert compile_section["methods_promoted"] > 0
-        assert compile_section["methods_compiled"] > 0
-        assert compile_section["compile_ms"] >= 0.0
         assert compile_section["codegen_ms"] >= 0.0
         assert set(compile_section) == {
-            "methods_compiled", "methods_codegenned", "methods_promoted",
-            "compile_ms", "codegen_ms",
+            "methods_codegenned", "methods_promoted", "codegen_ms",
         }
 
     def test_compile_section_none_before_interpreter(self):

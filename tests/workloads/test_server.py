@@ -78,7 +78,7 @@ class TestDeterminism:
         assert profiled.latency["requests"] == 150
 
     def test_all_four_dispatch_tiers_bit_identical(self):
-        # The four legs: table, then tiered on closures only, promoting at
+        # The four legs: table, then tiered never promoting, promoting at
         # each method's first visit, and at the default threshold.
         assert_dispatch_parity(tier_run)
 

@@ -22,7 +22,6 @@ A *system* is one of the named configurations the paper compares:
 ``cg-recycle-typed``  the chapter 6 extension: recycling indexed by
                 (class, size) for O(1) same-type reuse
 ``cg-reset``    CG + the section 3.6 reset pass, MSA forced periodically
-``cg-segfit``   CG + mark-sweep on the segregated-fit free list
 ``cg-table``    CG + mark-sweep with the table dispatch oracle pinned
                 (``dispatch="table"``) — the dispatch speedup's baseline
 ``cg-compiled`` CG + mark-sweep with tiered dispatch promoting at the
@@ -62,8 +61,8 @@ RESET_PERIOD_OPS = 5000
 
 SYSTEMS = (
     "cg", "cg-noopt", "cg-recycle", "cg-recycle-typed", "cg-reset",
-    "cg-segfit", "cg-table", "cg-compiled", "jdk", "cg-nogc",
-    "cg-noopt-nogc", "jdk-nogc", "gen", "train",
+    "cg-table", "cg-compiled", "jdk", "cg-nogc", "cg-noopt-nogc",
+    "jdk-nogc", "gen", "train",
 )
 
 
@@ -90,10 +89,6 @@ def config_for(system: str, heap_words: int,
             tracing="marksweep",
             gc_period_ops=gc_period_ops or RESET_PERIOD_OPS,
         )
-    if system == "cg-segfit":
-        return RuntimeConfig(heap_words=heap_words, cg=CGPolicy.paper_default(),
-                             tracing="marksweep", gc_period_ops=gc_period_ops,
-                             allocator="segregated")
     if system == "cg-table":
         return RuntimeConfig(heap_words=heap_words, cg=CGPolicy.paper_default(),
                              tracing="marksweep", gc_period_ops=gc_period_ops,

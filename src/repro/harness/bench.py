@@ -28,7 +28,8 @@ was the SLA-only server grid; BENCH_7 combines both grids, adds the
 ``compile_ms`` into cold/steady).  BENCH_5 through BENCH_7 were measured
 with the closure and compiled dispatch modes still pinnable; those modes
 are gone, ``cg-compiled`` is now tiered with ``promote_after=1``, and a
-baseline's ``cg-closure`` cells show up as "not in current run" notes.
+baseline's cells for deleted systems (``cg-closure`` among them) show up
+as "not in current run" notes.
 
 The grid carries the dispatch comparison — ``cg-table`` (the table
 oracle) and ``cg-compiled`` (tiered, every method codegenned at its
@@ -61,9 +62,9 @@ from ..api import RunRequest, WorkloadSpec, request_to_dict
 from ..api import run as run_workload
 
 #: Grid defaults: the timing-relevant systems (CG under the default
-#: tiered dispatch, the unmodified base system, the segregated-fit
-#: allocator ablation, the table oracle, and tiered with eager codegen).
-DEFAULT_SYSTEMS = ("cg", "jdk", "cg-segfit", "cg-table", "cg-compiled")
+#: tiered dispatch, the unmodified base system, the table oracle, and
+#: tiered with eager codegen).
+DEFAULT_SYSTEMS = ("cg", "jdk", "cg-table", "cg-compiled")
 DEFAULT_WORKLOADS = (
     "compress", "jess", "raytrace", "db", "javac", "mpegaudio", "jack",
     "bc-arith", "bc-list", "bc-calls", "bc-loop",
@@ -72,11 +73,11 @@ DEFAULT_WORKLOADS = (
 SMALL_WORKLOADS = ("jess", "raytrace", "db", "bc-list")
 
 #: The ``--sla`` grid: the server workload's tail-latency comparison —
-#: CG (tiered dispatch, the default) vs the unmodified base system, the
-#: segregated-fit allocator ablation, and eager codegen (the
-#: tiered-vs-compiled warmup comparison: identical steady state,
-#: very different first-request latency), under every arrival pattern.
-SLA_SYSTEMS = ("cg", "jdk", "cg-segfit", "cg-compiled")
+#: CG (tiered dispatch, the default) vs the unmodified base system and
+#: eager codegen (the tiered-vs-compiled warmup comparison: identical
+#: steady state, very different first-request latency), under every
+#: arrival pattern.
+SLA_SYSTEMS = ("cg", "jdk", "cg-compiled")
 SLA_PATTERNS = ("steady", "bursty", "diurnal")
 SLA_REQUESTS = 400
 

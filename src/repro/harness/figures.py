@@ -99,7 +99,7 @@ def cell_key(workload: str, size: int, system: str,
     """The cache key for one grid cell.
 
     Includes the full :meth:`RuntimeConfig.fingerprint` of the config the
-    cell will run under (allocator, dispatch, CG policy, fault plan, ...),
+    cell will run under (dispatch, CG policy, fault plan, ...),
     so a config change can never serve a stale cached result.  The heap
     size passed to ``config_for`` here is a placeholder: the fingerprint
     deliberately excludes ``heap_words``, which is its own key axis.

@@ -29,7 +29,7 @@ from .errors import LinkageError
 from .model import JClass, JMethod
 
 
-class QuickeningState(NamedTuple):
+class LinkState(NamedTuple):
     """One promoted method's link result, per (runtime, method)."""
 
     #: pc -> resolved object, or ``None`` where resolution raised:
@@ -64,7 +64,7 @@ def _resolve(program, op, operand):
 _LINKED_OPS = (bc.GETSTATIC, bc.PUTSTATIC, bc.NEW, bc.INVOKESTATIC)
 
 
-def compile_method(interp, method: JMethod) -> QuickeningState:
+def compile_method(interp, method: JMethod) -> LinkState:
     """Link ``method``'s symbolic operands against ``interp``'s program."""
     program = interp.runtime.program
     values: Dict[int, object] = {}
@@ -79,7 +79,7 @@ def compile_method(interp, method: JMethod) -> QuickeningState:
                 # Any failure, malformed hand-built operands included:
                 # the table handler raises it when the instruction runs.
                 values[pc] = None
-    return QuickeningState(values, vcalls)
+    return LinkState(values, vcalls)
 
 
 def link_virtual(table: Dict[JClass, JMethod], cls: JClass, name: str,

@@ -112,7 +112,7 @@ from . import bytecode as bc
 # The link step is called through the module attribute, at call time:
 # the perfbench ledger wraps ``closurecode.compile_method`` by name.
 from . import closurecode
-from .closurecode import QuickeningState, _split_static_ref
+from .closurecode import LinkState, _split_static_ref
 from .errors import NullPointerError, VerifyError
 from .frames import Frame
 from .heap import Handle
@@ -209,7 +209,7 @@ class PyCompiledMethod(NamedTuple):
     source: str
     #: This runtime's link result (:func:`repro.jvm.closurecode.
     #: compile_method`): the resolutions and receiver tables ``run`` reads.
-    links: QuickeningState
+    links: LinkState
     #: leader pc -> its block's instruction count (the exact quantity the
     #: generated budget checks compare against).  A pure driving-loop
     #: heuristic: the quantum tail re-enters generated code only at a
@@ -352,7 +352,7 @@ def _cache_lookup(method: JMethod):
     return key, _CODEGEN_CACHE.get(key)
 
 
-def _rebuild_bindings(interp, links: QuickeningState, code, extra) -> dict:
+def _rebuild_bindings(interp, links: LinkState, code, extra) -> dict:
     """Reconstruct a cached entry's binding environment: the base
     services plus the per-pc link results and non-literal constants
     recorded in ``extra`` (names only — the values are always this
@@ -473,7 +473,7 @@ class _Codegen:
     drain at every observable point (see module docstring).
     """
 
-    def __init__(self, interp, method: JMethod, links: QuickeningState,
+    def __init__(self, interp, method: JMethod, links: LinkState,
                  leaders: List[int]) -> None:
         self.code = method.code
         self.ilen = len(method.code)

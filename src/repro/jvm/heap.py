@@ -274,193 +274,6 @@ class FreeList:
         self._next_fit = 0
 
 
-#: Largest size with its own exact-fit bin; bigger blocks go to ranged bins.
-_EXACT_CLASSES = 32
-
-
-def _size_class(size: int) -> int:
-    """Map a block size to its segregated-fit bin index.
-
-    Sizes 1..32 get exact bins (every block in the bin has exactly that
-    size); larger sizes share a power-of-two range bin, so bin
-    ``_EXACT_CLASSES + k`` holds sizes in ``(2**(k+4), 2**(k+5)]``.
-    """
-    if size <= _EXACT_CLASSES:
-        return size
-    return _EXACT_CLASSES + (size - 1).bit_length() - 5
-
-
-class SegregatedFreeList:
-    """Segregated-fit allocator: size-class bins plus a wilderness block.
-
-    The production-mode alternative to :class:`FreeList` (selected with
-    ``RuntimeConfig(allocator="segregated")``).  Small allocations hit an
-    exact-size bin in O(1); larger ones first-fit within a power-of-two
-    range bin; the *wilderness* — the high-address tail the heap has never
-    fragmented — serves as the carve-from block of last resort.  Freed
-    blocks are binned without eager coalescing; when an allocation cannot
-    be satisfied, one consolidation pass coalesces the whole free map and
-    retries, so exhaustion behaviour (OOM) matches the next-fit allocator
-    on any request the heap could possibly satisfy.
-
-    ``search_steps`` counts every candidate examined (bin probes, in-bin
-    block probes, and wilderness carves), so the cost model and the
-    ``alloc.search_steps`` metric work identically for both allocators.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("heap capacity must be positive")
-        self.capacity = capacity
-        #: bin index -> LIFO list of (addr, size) free blocks.
-        self._bins: Dict[int, List[Tuple[int, int]]] = {}
-        self._wilderness_addr = 0
-        self._wilderness_size = capacity
-        self._free_words = capacity
-        self.search_steps = 0
-        self.allocs = 0
-        self.frees = 0
-        self.consolidations = 0
-
-    @property
-    def free_words(self) -> int:
-        return self._free_words
-
-    @property
-    def largest_block(self) -> int:
-        largest = self._wilderness_size
-        for blocks in self._bins.values():
-            for _, size in blocks:
-                if size > largest:
-                    largest = size
-        return largest
-
-    def blocks(self) -> List[Tuple[int, int]]:
-        """Snapshot of (addr, size) free blocks, address-ordered."""
-        out = [b for blocks in self._bins.values() for b in blocks]
-        if self._wilderness_size:
-            out.append((self._wilderness_addr, self._wilderness_size))
-        return sorted(out)
-
-    def allocate(self, size: int) -> Optional[int]:
-        if size <= 0:
-            raise ValueError("allocation size must be positive")
-        addr = self._try_allocate(size)
-        if addr is None and self._free_words >= size:
-            # Fragmented across bins: coalesce everything once and retry.
-            self._consolidate()
-            addr = self._try_allocate(size)
-        if addr is not None:
-            self.allocs += 1
-            self._free_words -= size
-        return addr
-
-    def _try_allocate(self, size: int) -> Optional[int]:
-        bins = self._bins
-        cls = _size_class(size)
-        if cls <= _EXACT_CLASSES:
-            # Exact bin: every block fits exactly; O(1) pop.
-            blocks = bins.get(cls)
-            if blocks:
-                self.search_steps += 1
-                addr, _ = blocks.pop()
-                return addr
-        else:
-            # The request's own range bin may hold smaller same-class
-            # blocks: first-fit within it.
-            blocks = bins.get(cls)
-            if blocks:
-                for i in range(len(blocks) - 1, -1, -1):
-                    self.search_steps += 1
-                    addr, bsize = blocks[i]
-                    if bsize >= size:
-                        del blocks[i]
-                        self._release_split(addr + size, bsize - size)
-                        return addr
-        # Any strictly larger class is guaranteed to fit: take the first
-        # nonempty one (one probe per bin inspected).
-        for upper in sorted(b for b in bins if b > cls):
-            blocks = bins[upper]
-            if blocks:
-                self.search_steps += 1
-                addr, bsize = blocks.pop()
-                self._release_split(addr + size, bsize - size)
-                return addr
-        # Wilderness carve.
-        self.search_steps += 1
-        if self._wilderness_size >= size:
-            addr = self._wilderness_addr
-            self._wilderness_addr += size
-            self._wilderness_size -= size
-            return addr
-        return None
-
-    def _release_split(self, addr: int, size: int) -> None:
-        """Return a split remainder to its bin (no counters: not a free)."""
-        if size > 0:
-            self._bins.setdefault(_size_class(size), []).append((addr, size))
-
-    def free(self, addr: int, size: int) -> None:
-        if size <= 0:
-            raise ValueError("freed size must be positive")
-        self.frees += 1
-        self._free_words += size
-        if addr + size == self._wilderness_addr:
-            # Adjacent to the wilderness: grow it instead of binning.
-            self._wilderness_addr = addr
-            self._wilderness_size += size
-        else:
-            self._bins.setdefault(_size_class(size), []).append((addr, size))
-
-    def _consolidate(self) -> None:
-        """Coalesce the entire free map; the top block becomes wilderness."""
-        self.consolidations += 1
-        merged: List[Tuple[int, int]] = []
-        for addr, size in self.blocks():
-            if merged and merged[-1][0] + merged[-1][1] == addr:
-                merged[-1] = (merged[-1][0], merged[-1][1] + size)
-            else:
-                merged.append((addr, size))
-        self._bins = {}
-        if merged:
-            self._wilderness_addr, self._wilderness_size = merged.pop()
-        else:
-            self._wilderness_addr, self._wilderness_size = self.capacity, 0
-        for addr, size in merged:
-            self._bins.setdefault(_size_class(size), []).append((addr, size))
-
-    def reset_scan(self) -> None:
-        """Post-GC hook: next-fit restarts its scan; segregated fit instead
-        consolidates, since a sweep just returned many uncoalesced blocks."""
-        self._consolidate()
-
-    def replace_free_space(self, blocks: List[Tuple[int, int]]) -> None:
-        """Install a new free-space map (post-compaction)."""
-        blocks = sorted(blocks)
-        self._bins = {}
-        self._free_words = sum(size for _, size in blocks)
-        if blocks:
-            self._wilderness_addr, self._wilderness_size = blocks.pop()
-        else:
-            self._wilderness_addr, self._wilderness_size = self.capacity, 0
-        for addr, size in blocks:
-            self._bins.setdefault(_size_class(size), []).append((addr, size))
-
-
-ALLOCATOR_CHOICES = ("next-fit", "segregated")
-
-
-def make_free_list(allocator: str, capacity: int):
-    """Allocator factory used by :class:`Heap`."""
-    if allocator == "next-fit":
-        return FreeList(capacity)
-    if allocator == "segregated":
-        return SegregatedFreeList(capacity)
-    raise ValueError(
-        f"allocator must be one of {ALLOCATOR_CHOICES}, got {allocator!r}"
-    )
-
-
 class Heap:
     """The object heap: handle table + object space + accounting.
 
@@ -469,13 +282,12 @@ class Heap:
     thesis's rescaling of the JDK's original 20/80 split (section 3.1.1).
     """
 
-    def __init__(self, capacity_words: int, handle_words: int = HANDLE_WORDS_JDK,
-                 allocator: str = "next-fit") -> None:
-        self.free_list = make_free_list(allocator, capacity_words)
+    def __init__(self, capacity_words: int,
+                 handle_words: int = HANDLE_WORDS_JDK) -> None:
+        self.free_list = FreeList(capacity_words)
         # Bound-method cache; safe because the free-list object is never
         # replaced (compaction installs new maps via replace_free_space).
         self._fl_allocate = self.free_list.allocate
-        self.allocator = allocator
         #: Fault-injection probe (repro.faults): when set, consulted once
         #: per allocation and a True return synthesizes exhaustion.  None
         #: keeps the hot path at a single is-not-None test.

@@ -30,7 +30,7 @@ from ..obs.events import NULL_TRACER
 from ..obs.profile import NULL_PROFILER, PHASE_MSA, PhaseProfiler
 from .errors import IllegalStateError, OutOfMemoryError, VMError
 from .frames import Frame, FrameIdSource, StaticFrame
-from .heap import ALLOCATOR_CHOICES, Handle, Heap
+from .heap import Handle, Heap
 from .model import JClass, JMethod, Program
 from .natives import NativeRegistry
 from .strings import InternTable
@@ -79,10 +79,6 @@ class RuntimeConfig:
     #: Collect perf_counter phase timings (interpret / cg-events / msa /
     #: recycle-search) and the per-frame-depth time profile.
     profile: bool = False
-    #: Object-space allocator: "next-fit" is the faithful JDK 1.1.8 linear
-    #: search every figure measures; "segregated" is the production-mode
-    #: size-class allocator (opt-in, never used by the paper's tables).
-    allocator: str = "next-fit"
     #: Interpreter dispatch strategy: "tiered" (the default — methods
     #: start on the table's opcode handlers under an invocation +
     #: loop-backedge hotness counter, and are promoted at a call boundary
@@ -123,8 +119,6 @@ class RuntimeConfig:
     #: Spool directory override for heartbeats (default: ``$REPRO_SPOOL``
     #: or ``<tempdir>/repro-spool``).
     heartbeat_spool: Optional[str] = None
-    #: Optional Unix datagram socket path each beat is also pushed to.
-    heartbeat_socket: Optional[str] = None
     #: Identity labels stamped on every snapshot (the harness stamps
     #: ``workload``/``size``/``system`` so the fleet view can name cells).
     heartbeat_labels: Optional[Dict] = None
@@ -137,12 +131,6 @@ class RuntimeConfig:
             )
         if self.heap_words <= 0:
             raise ValueError("heap_words must be positive")
-        if self.allocator not in ALLOCATOR_CHOICES:
-            raise ValueError(
-                f"allocator must be one of {ALLOCATOR_CHOICES}, "
-                f"got {self.allocator!r}"
-                f"{did_you_mean(self.allocator, ALLOCATOR_CHOICES)}"
-            )
         if self.dispatch not in DISPATCH_CHOICES:
             raise ValueError(
                 f"dispatch must be one of {DISPATCH_CHOICES}, got {self.dispatch!r}"
@@ -170,7 +158,6 @@ class RuntimeConfig:
             "compaction": self.compaction,
             "gc_period_ops": self.gc_period_ops,
             "quantum": self.quantum,
-            "allocator": self.allocator,
             "dispatch": self.dispatch,
             "promote_after": self.promote_after,
             "faults": self.faults.fingerprint() if self.faults is not None
@@ -192,10 +179,7 @@ class Runtime:
         handle_words = (
             self.config.cg.handle_words if self.config.cg.enabled else 2
         )
-        self.heap = Heap(
-            self.config.heap_words, handle_words=handle_words,
-            allocator=self.config.allocator,
-        )
+        self.heap = Heap(self.config.heap_words, handle_words=handle_words)
         self.tracer = (
             self.config.tracer if self.config.tracer is not None else NULL_TRACER
         )
@@ -235,10 +219,14 @@ class Runtime:
                 self.heap.set_alloc_fault(self._alloc_fault_probe)
 
         # Hot-path caches: these getattr/config reads used to happen once
-        # per allocation/store/tick; resolve them once here instead.
+        # per allocation/store; resolve them once here instead.  CPython
+        # specialises ``self.<name>`` reads only while the first instance
+        # of a class has at most 29 attributes (its shared-key limit); a
+        # 30th gives every runtime a plain dict and cost Mutator-driven
+        # jess 5-13% of its ops/sec, so keep the count within it
+        # (tests/jvm/test_runtime.py counts them).
         self._note_allocation = getattr(self.tracing, "note_allocation", None)
         self._write_barrier_fn = getattr(self.tracing, "write_barrier", None)
-        self._gc_period = self.config.gc_period_ops
         self._heap_allocate = self.heap.allocate
         self._classes = self.program.classes
         self._on_alloc = (self.collector.on_alloc
@@ -249,31 +237,27 @@ class Runtime:
         #: evaluated in the tick path, so *when* a snapshot fires is
         #: deterministic even though its wall-clock fields are advisory.
         self.heartbeat = None
-        self._hb_every = self.config.heartbeat_every
         self._hb_next = 0
-        if self._hb_every is not None:
+        every = self.config.heartbeat_every
+        if every is not None:
             from ..obs.heartbeat import Heartbeat
 
             self.heartbeat = Heartbeat(
-                self._hb_every, spool=self.config.heartbeat_spool,
-                socket_path=self.config.heartbeat_socket,
+                every, spool=self.config.heartbeat_spool,
                 labels=self.config.heartbeat_labels,
             )
-            self._hb_next = self._hb_every
-
-        if self.heartbeat is not None:
-            self.tick = (
-                self._tick_heartbeat if self._gc_period is None
-                else self._tick_gc_heartbeat
-            )
-        elif self._gc_period is None:
-            # No periodic trigger configured: tick degenerates to a counter
-            # bump.  Bind the specialised form as an instance attribute so
-            # front ends that cache ``runtime.tick`` pick it up too.
-            self.tick = self._tick_count_only
+            self._hb_next = every
 
         self.ops = 0
         self._last_periodic_gc = 0
+        #: The op count at which the next periodic GC or beat fires (see
+        #: :meth:`tick`); None when neither is armed.
+        self._due = self._deadline()
+        if self._due is None:
+            # Nothing can fall due: tick degenerates to a counter bump.
+            # Bind it as an instance attribute so front ends that cache
+            # ``runtime.tick`` pick it up too.
+            self.tick = self._tick_count_only
         self._next_thread_id = 0
         self.main_thread = self.new_thread("main")
         self._interpreter = None  # created lazily to avoid an import cycle
@@ -595,32 +579,54 @@ class Runtime:
     # ------------------------------------------------------------------
 
     def tick(self, n: int = 1) -> None:
-        """Charge ``n`` mutator operations; runs the periodic collector.
+        """Charge ``n`` mutator operations; fire the periodic GC and the
+        heartbeat once ``ops`` reaches the deadline :meth:`next_due`.
+
+        Bound only while one of them is armed; an unarmed runtime binds
+        :meth:`_tick_count_only` over it.  The GC fires first, so a beat at
+        a shared op count observes the post-collection heap, and a bulk
+        tick across several thresholds fires each event once.
 
         Front ends call this at instruction/operation boundaries only —
         i.e. while every live reference is still rooted (operand stacks,
         locals, temp roots) — so a collection triggered here is safe.
         """
-        self.ops += n
-        period = self._gc_period
-        if period is not None and self.ops - self._last_periodic_gc >= period:
-            self._last_periodic_gc = self.ops
+        ops = self.ops + n
+        self.ops = ops
+        if ops < self._due:
+            return
+        period = self.config.gc_period_ops
+        if period is not None and ops - self._last_periodic_gc >= period:
+            self._last_periodic_gc = ops
             self.run_gc()
+        heartbeat = self.heartbeat
+        if heartbeat is not None and ops >= self._hb_next:
+            # Move the schedule on before the beat, so a snapshot never
+            # reenters it.
+            every = heartbeat.every
+            self._hb_next += every * ((ops - self._hb_next) // every + 1)
+            heartbeat.beat(self)
+        self._due = self._deadline()
 
     def _tick_count_only(self, n: int = 1) -> None:
-        """Specialised :meth:`tick` for runs with no periodic-GC trigger."""
+        """:meth:`tick` for runs with neither a periodic GC nor a heartbeat."""
         self.ops += n
+
+    def _deadline(self) -> Optional[int]:
+        """The earlier of the next periodic GC and the next beat."""
+        due = None
+        period = self.config.gc_period_ops
+        if period is not None:
+            due = self._last_periodic_gc + period
+        if self.heartbeat is not None and (due is None or self._hb_next < due):
+            due = self._hb_next
+        return due
 
     def next_due(self) -> Optional[int]:
         """The op count at which the next periodic GC or heartbeat fires
         (None when neither is armed).  Always above ``ops``: every tick
         that reaches it fires and moves it on."""
-        due = None
-        if self._gc_period is not None:
-            due = self._last_periodic_gc + self._gc_period
-        if self.heartbeat is not None and (due is None or self._hb_next < due):
-            due = self._hb_next
-        return due
+        return self._due
 
     def fire_due(self) -> None:
         """Fire what the next tick triggers, without charging that tick.
@@ -633,39 +639,6 @@ class Runtime:
         """
         self.tick(1)
         self.ops -= 1
-
-    def _hb_fire(self) -> None:
-        """Advance the heartbeat schedule and emit one snapshot.
-
-        The next firing point is computed *before* the beat so a snapshot
-        can never reenter the schedule arithmetic; multiple thresholds
-        crossed by one bulk tick coalesce into a single beat (matching
-        the periodic-GC trigger's catch-up behavior).
-        """
-        every = self._hb_every
-        self._hb_next += every * ((self.ops - self._hb_next) // every + 1)
-        self.heartbeat.beat(self)
-
-    def _tick_heartbeat(self, n: int = 1) -> None:
-        """:meth:`tick` with a heartbeat armed but no periodic GC."""
-        self.ops += n
-        if self.ops >= self._hb_next:
-            self._hb_fire()
-
-    def _tick_gc_heartbeat(self, n: int = 1) -> None:
-        """:meth:`tick` with both the periodic GC and a heartbeat armed.
-
-        The GC trigger runs first (same order as the unadorned tick), so a
-        snapshot taken at a shared boundary observes the post-collection
-        heap.
-        """
-        self.ops += n
-        period = self._gc_period
-        if self.ops - self._last_periodic_gc >= period:
-            self._last_periodic_gc = self.ops
-            self.run_gc()
-        if self.ops >= self._hb_next:
-            self._hb_fire()
 
     def run_gc(self) -> int:
         """Run the tracing collector with observability around it.

@@ -19,9 +19,10 @@ Design constraints, in order:
   labels on the snapshot, never inputs to it, so arming a heartbeat
   leaves a run's counters bit-identical to a heartbeat-off run.
 * **Zero cost when off; same code path when on.**  ``heartbeat_every=None``
-  (the default) binds the same specialized tick paths as before; no hook,
-  no branch.  Armed, bytecode runs still take the production dispatch
-  loops: the interpreter ends slices where a beat is due.
+  (the default) leaves the tick a bare counter bump; no hook, no branch.
+  Armed, the tick compares ``ops`` against one deadline, and bytecode runs
+  still take the production dispatch loops: the interpreter ends slices
+  where a beat is due.
 * **Crash-safe publication.**  Each beat rewrites the run's spool file
   through a temp file + ``os.replace`` (atomic on POSIX), so a reader
   never sees a torn snapshot.  The file holds a bounded ring of the most
@@ -31,9 +32,7 @@ Design constraints, in order:
 One run maps to one spool file ``run-<pid>-<n>.jsonl`` (``n`` is a
 per-process run ordinal: pool workers execute many cells per process).
 The spool directory defaults to ``$REPRO_SPOOL`` or
-``<tempdir>/repro-spool``.  Optionally each beat is also pushed to a Unix
-datagram socket (``heartbeat_socket``) for push-based collectors; socket
-errors are swallowed — observability must never kill the run.
+``<tempdir>/repro-spool``.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import io
 import json
 import os
 import re
-import socket
 import tempfile
 import time
 from collections import deque
@@ -64,7 +62,9 @@ from typing import Dict, List, Optional
 #: cache are gone).
 #: v6 dropped the section's ``methods_compiled`` and ``compile_ms`` (the
 #: closure tier is gone; ``codegen_ms`` includes the link step).
-SNAPSHOT_SCHEMA = "cg-snapshot/6"
+#: v7 dropped the top-level ``allocator`` name (next-fit is the only
+#: allocator).
+SNAPSHOT_SCHEMA = "cg-snapshot/7"
 
 #: Snapshots retained per run file (a ring: older beats roll off).
 DEFAULT_RING = 16
@@ -122,7 +122,6 @@ def runtime_snapshot(runtime) -> Dict:
         "schema": SNAPSHOT_SCHEMA,
         "ops": runtime.ops,
         "heap": runtime.heap.occupancy(),
-        "allocator": runtime.heap.allocator,
     }
     collector = runtime.collector
     data["equilive"] = (
@@ -226,7 +225,6 @@ class Heartbeat:
 
     def __init__(self, every: int, spool: Optional[str] = None,
                  ring: int = DEFAULT_RING,
-                 socket_path: Optional[str] = None,
                  labels: Optional[Dict] = None) -> None:
         self.every = int(every)
         self.ring = max(1, int(ring))
@@ -245,8 +243,6 @@ class Heartbeat:
         )
         self._lines: deque = deque(maxlen=self.ring)
         self._started = time.perf_counter()
-        self._socket_path = socket_path
-        self._sock: Optional[socket.socket] = None
         self.closed = False
         self._prune_run_files()
 
@@ -268,33 +264,22 @@ class Heartbeat:
     # -- emission -------------------------------------------------------
 
     def beat(self, runtime, phase: str = "live") -> LiveSnapshot:
-        """Capture and publish one snapshot (atomic rename, then socket)."""
+        """Capture and publish one snapshot (atomic rename)."""
         snapshot = LiveSnapshot.capture(
             runtime, seq=self.seq, phase=phase, labels=self.labels,
             uptime_s=time.perf_counter() - self._started,
         )
         self.seq += 1
-        line = snapshot.to_json()
-        self._lines.append(line)
+        self._lines.append(snapshot.to_json())
         self._write()
-        self._send(line)
         return snapshot
 
     def close(self, runtime) -> Optional[LiveSnapshot]:
-        """Final beat (``phase="final"``) + socket teardown.  Idempotent."""
+        """Final beat (``phase="final"``).  Idempotent."""
         if self.closed:
             return None
         self.closed = True
-        try:
-            snapshot = self.beat(runtime, phase="final")
-        finally:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
-        return snapshot
+        return self.beat(runtime, phase="final")
 
     def _write(self) -> None:
         tmp = self.path.with_suffix(".jsonl.tmp")
@@ -307,16 +292,4 @@ class Heartbeat:
             os.replace(tmp, self.path)
         except OSError:
             # Spool trouble (disk full, dir removed) must not kill the run.
-            pass
-
-    def _send(self, line: str) -> None:
-        if self._socket_path is None or not hasattr(socket, "AF_UNIX"):
-            return
-        try:
-            if self._sock is None:
-                self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_DGRAM)
-                self._sock.setblocking(False)
-            self._sock.sendto(line.encode("utf-8"), self._socket_path)
-        except OSError:
-            # No listener / buffer full / path gone: advisory channel only.
             pass

@@ -183,8 +183,7 @@ def render_snapshot(snapshot: Dict, path: Optional[Path] = None) -> str:
             f" ({int(live)}/{int(cap)} words,"
             f" peak {int(heap.get('peak_live_words', 0))},"
             f" frag {heap.get('fragmentation', 0.0):.2f},"
-            f" {int(heap.get('live_objects', 0))} objects,"
-            f" allocator {snapshot.get('allocator', '?')})"
+            f" {int(heap.get('live_objects', 0))} objects)"
         )
     equilive = snapshot.get("equilive")
     recycle = snapshot.get("recycle")

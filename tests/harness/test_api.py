@@ -205,10 +205,6 @@ class TestConfigValidation:
             config_for("cg-nogcc", 1 << 20)
         assert "did you mean 'cg-nogc'" in str(excinfo.value)
 
-    def test_unknown_allocator_suggests_close_match(self):
-        with pytest.raises(ValueError, match="did you mean 'next-fit'"):
-            RuntimeConfig(allocator="nxt-fit")
-
     def test_unknown_dispatch_suggests_close_match(self):
         with pytest.raises(ValueError, match="did you mean 'table'"):
             RuntimeConfig(dispatch="tabel")
@@ -219,7 +215,7 @@ class TestConfigValidation:
 
     def test_hopeless_typo_gets_no_suggestion(self):
         with pytest.raises(ValueError) as excinfo:
-            RuntimeConfig(allocator="zzzzzz")
+            RuntimeConfig(tracing="zzzzzz")
         assert "did you mean" not in str(excinfo.value)
 
     def test_dispatch_mutated_after_construction_caught(self):
@@ -268,10 +264,8 @@ class TestConfigValidation:
 
 
 class TestConfigFingerprint:
-    def test_fingerprint_covers_allocator_dispatch_faults(self):
+    def test_fingerprint_covers_dispatch_faults(self):
         base = RuntimeConfig()
-        assert base.fingerprint() != RuntimeConfig(
-            allocator="segregated").fingerprint()
         # Explicit modes, not the default: REPRO_DISPATCH may redefine it.
         assert RuntimeConfig(dispatch="table").fingerprint() != RuntimeConfig(
             dispatch="tiered").fingerprint()

@@ -70,7 +70,7 @@ class TestScheduling:
             pool.warmup(timeout=30)
             jobs = [pool.submit(req("db", system=system), shard=0)
                     for system in ("cg", "cg-nogc", "jdk", "cg-reset",
-                                   "cg-segfit", "jdk-nogc")]
+                                   "cg-recycle", "jdk-nogc")]
             assert pool.wait(jobs, timeout=120)
             assert all(j.status == "done" for j in jobs)
             stats = pool.stats()

@@ -345,7 +345,7 @@ PAIRS_LOOP = (
 )
 
 
-class TestSuperinstructions:
+class TestQuantumSplits:
     """Quantum splits landing inside instruction pairs never skid."""
 
     @pytest.mark.parametrize("quantum", [1, 2, 3, 7, 100])

@@ -321,6 +321,14 @@ class TestCompaction:
         assert heap.compact() == 0
         assert heap.free_list.free_words == heap.capacity
 
+    def test_replace_free_space_matches_next_fit_contract(self):
+        fl = FreeList(256)
+        fl.allocate(50)
+        fl.replace_free_space([(200, 56), (0, 100)])
+        assert fl.free_words == 156
+        assert fl.largest_block == 100
+        assert fl.blocks() == [(0, 100), (200, 56)]
+
 
 class TestHandleModel:
     def test_references_iterates_fields(self):

@@ -24,6 +24,19 @@ class TestConfig:
         assert rt.collector is None
         assert rt.heap.handle_words == 2
 
+    @pytest.mark.parametrize("observe", [
+        {}, {"gc_period_ops": 10, "heartbeat_every": 7},
+    ])
+    def test_attributes_fit_cpython_shared_keys(self, observe, tmp_path):
+        # CPython specialises ``self.<name>`` reads only while the first
+        # instance of a class has at most 29 attributes; a 30th gives
+        # every runtime a plain dict, which cost Mutator-driven jess 5-13%
+        # of its ops/sec.
+        rt = Runtime(RuntimeConfig(heartbeat_spool=str(tmp_path),
+                                   **observe))
+        rt.interpreter
+        assert len(vars(rt)) <= 29
+
 
 class TestAllocationPolicy:
     def test_allocation_failure_triggers_tracing_gc(self):

@@ -3,7 +3,7 @@
 The interpreter's always-on compile counters (codegen, promotions, and
 the link + codegen wall time) feed three read-only surfaces —
 ``vm.compile.*`` in the metrics registry, the ``compile`` section of the
-``cg-snapshot/6`` schema, and the per-request ``compile_ms`` attribution in
+``cg-snapshot/7`` schema, and the per-request ``compile_ms`` attribution in
 ``RunResult.latency``.  All three must be pure observation: armed or
 not, a run's counters stay bit-identical.  A cold run codegens each
 promoted method exactly once.
@@ -98,7 +98,7 @@ class TestSnapshotSurface:
     def test_compile_section_in_snapshot(self):
         rt = run_tiered(promote_after=4)
         data = runtime_snapshot(rt)
-        assert data["schema"] == "cg-snapshot/6"
+        assert data["schema"] == "cg-snapshot/7"
         compile_section = data["compile"]
         assert compile_section["methods_promoted"] > 0
         assert compile_section["codegen_ms"] >= 0.0

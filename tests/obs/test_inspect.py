@@ -27,7 +27,7 @@ def fake_snapshot(**over):
         "schema": SNAPSHOT_SCHEMA, "kind": "heartbeat", "phase": "live",
         "seq": 3, "pid": 1234, "ops": 4200,
         "labels": {"workload": "jess", "size": 1, "system": "cg"},
-        "uptime_s": 0.5, "allocator": "next-fit",
+        "uptime_s": 0.5,
         "heap": {"capacity_words": 1000, "live_words": 400,
                  "peak_live_words": 500, "occupancy": 0.4,
                  "fragmentation": 0.1, "live_objects": 40},

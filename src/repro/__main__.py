@@ -1,13 +1,11 @@
-"""``python -m repro`` — figure CLI plus ``bench``, ``inspect``, ``serve``.
+"""``python -m repro`` — figure CLI plus ``bench`` and ``inspect``.
 
 ``python -m repro 4.1 4.5`` regenerates figures (same interface as
 ``python -m repro.harness.cli``); ``python -m repro bench ...`` runs the
 wall-clock benchmark harness (see :mod:`repro.harness.bench`);
 ``python -m repro inspect ...`` renders live heartbeat snapshots of
-in-flight runs (see :mod:`repro.obs.inspect`); ``python -m repro serve
---socket PATH`` keeps a warm worker pool resident and serves run
-requests over a Unix socket (see :mod:`repro.harness.serve`).  Figure,
-bench, and served cells all execute through :func:`repro.api.run`.
+in-flight runs (see :mod:`repro.obs.inspect`).  Figure and bench cells
+all execute through :func:`repro.api.run`.
 """
 
 import sys
@@ -23,10 +21,6 @@ def main() -> int:
         from .obs.inspect import main as inspect_main
 
         return inspect_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from .harness.serve import main as serve_main
-
-        return serve_main(argv[1:])
     from .harness.cli import main as cli_main
 
     return cli_main(argv)

@@ -428,7 +428,7 @@ _REQUEST_FIELDS = (
 def request_to_dict(request: RunRequest) -> Dict:
     """Flatten a :class:`RunRequest` to JSON-serializable primitives.
 
-    The wire form used by the worker pool and the ``serve`` socket;
+    The wire form the worker pool sends to its worker processes;
     :func:`request_from_dict` is the inverse.  Requests carrying a live
     ``tracer`` or a prebuilt ``config`` are process-local by nature and
     are rejected here — run those through :func:`execute` directly.
@@ -593,13 +593,11 @@ def run_many(requests, jobs: int = 2, *,
         return [execute(r) for r in requests]
     from .harness.pool import get_shared_pool
 
-    pool = get_shared_pool(max(1, jobs))
-    pool_jobs = pool.submit_batch(
+    pool_jobs = get_shared_pool(max(1, jobs)).run(
         [request_to_dict(r) for r in requests],
         plan=next((r.faults for r in requests if r.faults is not None), None),
         timeout=cell_timeout, retries=retries,
     )
-    pool.wait(pool_jobs)
     results = []
     for job in pool_jobs:
         if job.status != "done":

@@ -16,20 +16,21 @@ Two kinds of comparison, deliberately different in strictness:
   per-cell current/baseline ratios, failing only beyond ``--tolerance``
   (default 25%).
 
-``--compare OLDER`` is the *trend* view across baseline generations (e.g.
-``BENCH_7.json`` vs ``BENCH_6.json``): per-cell wall/ops-per-sec deltas
-plus the geomean, failing only on a >25% geomean wall regression.  Unlike
-``--check``, counter drift is reported but does not fail — grids and
-defaults legitimately change between versions (BENCH_4 added the
-``cg-table`` column and the ``bc-*`` interpreter workloads; BENCH_5 added
-a closure-pin column, ``bc-loop``, and the ``compile_ms`` column; BENCH_6
-was the SLA-only server grid; BENCH_7 combines both grids, adds the
-``cg-compiled`` pin, flips ``cg`` to the tiered default, and splits
-``compile_ms`` into cold/steady).  BENCH_5 through BENCH_7 were measured
-with the closure and compiled dispatch modes still pinnable; those modes
-are gone, ``cg-compiled`` is now tiered with ``promote_after=1``, and a
-baseline's cells for deleted systems (``cg-closure`` among them) show up
-as "not in current run" notes.
+``--compare OLDER`` is the *trend* view across baseline generations
+(e.g. ``BENCH_7.json`` vs ``BENCH_6.json``): per-cell wall/ops-per-sec
+deltas plus the geomean, failing on a >25% geomean wall regression or
+when the two reports share no cell. Unlike ``--check``, counter drift is
+reported but does not fail — grids and defaults legitimately change
+between versions (BENCH_4 added the ``cg-table`` column and the ``bc-*``
+interpreter workloads; BENCH_5 added a closure-pin column, ``bc-loop``,
+and the ``compile_ms`` column; BENCH_6 was the SLA-only server grid;
+BENCH_7 combines both grids, adds the ``cg-compiled`` pin, flips ``cg``
+to the tiered default, and splits ``compile_ms`` into cold/steady).
+BENCH_5 through BENCH_7 were measured with the closure and compiled
+dispatch modes still pinnable; those modes are gone, ``cg-compiled`` is
+now tiered with ``promote_after=1``, and a baseline's cells for deleted
+systems (``cg-closure`` among them) show up as "not in current run"
+notes.
 
 The grid carries the dispatch comparison — ``cg-table`` (the table
 oracle) and ``cg-compiled`` (tiered, every method codegenned at its
@@ -107,12 +108,12 @@ def run_bench(
 ) -> Dict:
     """Time every (workload, system) cell; wall time is min over repeats.
 
-    ``jobs > 1`` runs the grid through the persistent worker pool
+    ``jobs > 1`` runs the grid through the worker pool
     (:mod:`repro.harness.pool`): every (cell, repeat) becomes an uncached
-    job (bench must *time* each run, so no dedupe and no result cache)
-    and the wall time is measured inside the worker around the run
-    itself.  The determinism counters are bit-identical either way —
-    only wall noise differs, which ``--check``'s geomean gate absorbs.
+    job (bench must *time* each run, so no result cache) and the wall
+    time is measured inside the worker around the run itself.  The
+    determinism counters are bit-identical either way — only wall noise
+    differs, which ``--check``'s geomean gate absorbs.
     """
     if jobs > 1:
         return _run_bench_pooled(workloads, systems, size, repeats, jobs)
@@ -185,56 +186,63 @@ def _harvest_compile_ms(workload: str, size: int, system: str,
     return gauges.get("profile.codegen_s", 0.0) * 1000.0
 
 
-def _run_bench_pooled(workloads: Sequence[str], systems: Sequence[str],
-                      size: int, repeats: int, jobs: int) -> Dict:
+def _pooled_min_wall(cells: Sequence[Tuple[str, str]], request_for,
+                     repeats: int, jobs: int,
+                     label: str) -> Dict[Tuple[str, str], Tuple[float, Dict]]:
+    """Run ``repeats`` of every cell on the worker pool; keep the fastest.
+
+    Returns ``{cell: (wall_seconds, result_dict)}`` for the repeat with
+    the minimum wall, measured inside the worker around the run itself.
+    The batch is unkeyed: a result-cache hit has no wall time to report.
+    A cell whose job failed raises, naming it as ``label + cell``.
+    """
     from .pool import get_shared_pool
 
-    cells = [(w, s) for w in workloads for s in systems]
-    requests: List[Dict] = []
-    owners: List[Tuple[str, str]] = []
-    for workload, system in cells:
-        for _ in range(max(1, repeats)):
-            requests.append(
-                {"workload": workload, "size": size, "system": system}
-            )
-            owners.append((workload, system))
-    pool = get_shared_pool(jobs)
-    # Deliberately unkeyed: single-flight dedupe would collapse the
-    # repeats into one run, and a cache hit has no wall time to report.
-    pool_jobs = pool.submit_batch(requests)
-    pool.wait(pool_jobs)
-    best: Dict[Tuple[str, str], Dict] = {}
-    for (workload, system), job in zip(owners, pool_jobs):
+    owners = [cell for cell in cells for _ in range(max(1, repeats))]
+    pool_jobs = get_shared_pool(jobs).run(
+        [request_for(*cell) for cell in owners])
+    best: Dict[Tuple[str, str], Tuple[float, Dict]] = {}
+    for cell, job in zip(owners, pool_jobs):
         if job.status != "done":
-            report = job.report
-            raise RuntimeError(
-                f"bench cell {workload}/{system} failed in the pool: "
-                f"{report.message if report else 'job lost'}"
-            )
+            raise RuntimeError(f"{label}{'/'.join(cell)} failed in the "
+                               f"pool: {job.report.message}")
         wall = job.wall_seconds or 0.0
-        cell = best.get((workload, system))
-        if cell is None or wall < cell["wall_seconds"]:
-            best[(workload, system)] = {
-                "workload": workload,
-                "size": size,
-                "system": system,
-                "wall_seconds": wall,
-                "ops": job.result_dict["ops"],
-                "ops_per_sec": (job.result_dict["ops"] / wall
-                                if wall else 0.0),
-                "alloc_search_steps": job.result_dict["alloc_search_steps"],
-            }
-    for (workload, system), cell in best.items():
-        # Harvested in-process: the pool protocol ships counters, not
-        # profiler gauges, and one profiled run per cell is cheap.
-        cell["compile_ms_first_iter"] = _harvest_compile_ms(
-            workload, size, system, cold=True)
-        cell["compile_ms"] = _harvest_compile_ms(workload, size, system)
+        if cell not in best or wall < best[cell][0]:
+            best[cell] = (wall, job.result_dict)
+    return best
+
+
+def _run_bench_pooled(workloads: Sequence[str], systems: Sequence[str],
+                      size: int, repeats: int, jobs: int) -> Dict:
+    cells = [(w, s) for w in workloads for s in systems]
+    best = _pooled_min_wall(
+        cells,
+        lambda workload, system: {"workload": workload, "size": size,
+                                  "system": system},
+        repeats, jobs, "bench cell ",
+    )
+    entries: List[Dict] = []
+    for workload, system in cells:
+        wall, result = best[(workload, system)]
+        entries.append({
+            "workload": workload,
+            "size": size,
+            "system": system,
+            "wall_seconds": wall,
+            "ops": result["ops"],
+            "ops_per_sec": result["ops"] / wall if wall else 0.0,
+            "alloc_search_steps": result["alloc_search_steps"],
+            # Harvested in-process: the pool protocol ships counters, not
+            # profiler gauges, and one profiled run per cell is cheap.
+            "compile_ms_first_iter": _harvest_compile_ms(
+                workload, size, system, cold=True),
+            "compile_ms": _harvest_compile_ms(workload, size, system),
+        })
     return {
         "version": BENCH_VERSION,
         "size": size,
         "repeats": repeats,
-        "entries": [best[cell] for cell in cells],
+        "entries": entries,
     }
 
 
@@ -292,32 +300,13 @@ def run_sla(
     cells = [(p, s) for p in patterns for s in systems]
     best: Dict[Tuple[str, str], Dict] = {}
     if jobs > 1:
-        from .pool import get_shared_pool
-
-        wire: List[Dict] = []
-        owners: List[Tuple[str, str]] = []
-        for pattern, system in cells:
-            for _ in range(max(1, repeats)):
-                wire.append(request_to_dict(_request(pattern, system)))
-                owners.append((pattern, system))
-        pool = get_shared_pool(jobs)
-        # Unkeyed on purpose, like the pooled bench path: every repeat
-        # must actually run and be timed.
-        pool_jobs = pool.submit_batch(wire)
-        pool.wait(pool_jobs)
-        for (pattern, system), job in zip(owners, pool_jobs):
-            if job.status != "done":
-                report = job.report
-                raise RuntimeError(
-                    f"sla cell server/{pattern}/{system} failed in the "
-                    f"pool: {report.message if report else 'job lost'}"
-                )
-            wall = job.wall_seconds or 0.0
-            cell = best.get((pattern, system))
-            if cell is None or wall < cell["wall_seconds"]:
-                best[(pattern, system)] = _sla_entry(
-                    pattern, system, wall, job.result_dict
-                )
+        pooled = _pooled_min_wall(
+            cells,
+            lambda pattern, system: request_to_dict(_request(pattern, system)),
+            repeats, jobs, "sla cell server/",
+        )
+        best = {cell: _sla_entry(*cell, wall, result)
+                for cell, (wall, result) in pooled.items()}
     else:
         for pattern in patterns:
             # Paired interleaved measurement, as in run_bench.
@@ -364,7 +353,7 @@ def run_warmup_curve(
 
     Every cell starts truly cold — the cross-runtime codegen cache is
     cleared — then runs ``iters`` back-to-back iterations in one process
-    (the ``serve``/WorkerPool shape: caches shared, runtimes fresh).
+    (the shape of a pool worker's batch: caches shared, runtimes fresh).
     Reported per cell: the first-iteration wall (codegen bill included),
     the steady-state wall (min over iterations), the warmup ratio
     between them, and time-to-peak — the first iteration whose wall is
@@ -566,11 +555,12 @@ def trend(current: Dict, baseline: Dict,
     """Cross-generation trend report (e.g. BENCH_4 vs BENCH_3).
 
     Prints per-workload×system wall and ops-per-sec deltas plus the
-    geomean; fails only when the wall-clock geomean regresses beyond
-    ``tolerance``.  Determinism-counter drift is *noted*, not failed —
-    between baseline generations the grid and the default configuration
-    legitimately change (use :func:`compare` for the strict same-version
-    gate).
+    geomean; fails when the wall-clock geomean regresses beyond
+    ``tolerance``, and when the two reports share no cell (a trend with
+    nothing to compare could never fail).  Determinism-counter drift is
+    *noted*, not failed — between baseline generations the grid and the
+    default configuration legitimately change (use :func:`compare` for
+    the strict same-version gate).
     """
     lines: List[str] = []
     ok = True
@@ -583,6 +573,9 @@ def trend(current: Dict, baseline: Dict,
         f"v{baseline.get('version', '?')} — {len(shared)} shared cells, "
         f"{len(new)} new, {len(gone)} removed"
     )
+    if not shared:
+        ok = False
+        lines.append("FAIL: no cell shared with the trend baseline")
     ratios = []
     for key in sorted(shared):
         c, b = cur[key], base[key]
@@ -809,8 +802,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--compare", metavar="BASELINE",
         help="trend report vs an older baseline generation (wall/ops-per-sec"
-             " deltas + geomean); exit 1 only on >tolerance geomean"
-             " wall regression",
+             " deltas + geomean); exit 1 on >tolerance geomean wall"
+             " regression or when no cell is shared",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.25,

@@ -93,9 +93,7 @@ def set_result_cache(path: Optional[str]) -> None:
 def cell_key(workload: str, size: int, system: str,
              gc_period_ops: Optional[int] = None,
              heap_words: Optional[int] = None,
-             plan: Optional[FaultPlan] = None,
-             count_opcodes: Optional[bool] = None,
-             params: Optional[Dict] = None) -> Tuple:
+             plan: Optional[FaultPlan] = None) -> Tuple:
     """The cache key for one grid cell.
 
     Includes the full :meth:`RuntimeConfig.fingerprint` of the config the
@@ -103,18 +101,12 @@ def cell_key(workload: str, size: int, system: str,
     so a config change can never serve a stale cached result.  The heap
     size passed to ``config_for`` here is a placeholder: the fingerprint
     deliberately excludes ``heap_words``, which is its own key axis.
-    ``count_opcodes`` defaults to the module's ambient flag; the serve
-    path passes it explicitly (per-request, no ambient state).
-    ``params`` is the workload parameter dict (WorkloadSpec axis): it is
-    keyed as canonical sorted JSON so ``{}``/``None`` and key order
-    cannot split cache entries.
+    The last element is the module's ambient opcode-counting flag.
     """
     config = config_for(system, heap_words or (1 << 20), gc_period_ops)
     config.faults = plan
-    flag = _COUNT_OPCODES if count_opcodes is None else bool(count_opcodes)
     return (workload, size, system, gc_period_ops, heap_words,
-            config.fingerprint(), flag,
-            json.dumps(params or {}, sort_keys=True))
+            config.fingerprint(), _COUNT_OPCODES)
 
 
 def _result_cache():
@@ -493,13 +485,12 @@ ALL_FIGURES = {
 #
 # The figure generators above are sequential by construction (each row pulls
 # from the shared cache).  ``prefetch`` warms that cache by submitting the
-# (workload, size, system) grid to the persistent worker pool
+# (workload, size, system) grid to the worker pool
 # (:mod:`repro.harness.pool`) first, so a subsequent generator pass is pure
 # cache hits.  Figures 4.12/4.13 depend on ``pressured_heap`` — a derived
 # heap size read off the ``cg-nogc`` result — so prefetch runs in two waves:
 # everything with a statically known config, then the pressured-heap cells.
-# The quarantine/timeout/retry machinery that used to live here moved into
-# the pool; this module is now a thin client that translates cell keys to
+# The pool owns timeouts and retries; this module translates cell keys to
 # run requests and pool failures to :data:`_QUARANTINE` entries.
 # ---------------------------------------------------------------------------
 
@@ -555,8 +546,7 @@ def _request_for(key: Tuple) -> Dict:
         "system": system,
         "gc_period_ops": gc_period_ops,
         "heap_words": heap_words,
-        "count_opcodes": bool(key[6]) if len(key) > 6 else False,
-        "params": json.loads(key[7]) if len(key) > 7 else None,
+        "count_opcodes": bool(key[6]),
         "heartbeat_every": _HEARTBEAT_EVERY,
         "heartbeat_spool": _HEARTBEAT_SPOOL,
         "faults": plan.to_dict() if plan is not None else None,
@@ -592,16 +582,15 @@ def _spool_quarantine(key: Tuple, report: FaultReport) -> None:
 
 def _run_wave(keys: List[Tuple], jobs: int,
               cell_timeout: Optional[float] = None, retries: int = 2) -> None:
-    """Fill the cache for ``keys``, submitting misses to the worker pool.
+    """Fill the cache for ``keys``, running the misses on the worker pool.
 
-    Fault tolerance belongs to the pool now: each cell gets ``1 +
-    retries`` attempts (with exponential backoff between rounds) and at
-    most ``cell_timeout`` seconds per attempt; a crashed worker is
-    replaced and its cell retried.  A cell that exhausts its attempts
-    comes back ``failed`` with a :class:`FaultReport` and is quarantined
-    here, so the rest of the grid completes and readers get a structured
-    error.  No pool is created (or warmed) when every key is already in
-    memory or on disk.
+    Fault tolerance belongs to the pool: each cell gets ``1 + retries``
+    attempts (with exponential backoff between rounds) and at most
+    ``cell_timeout`` seconds per attempt; a crashed worker is replaced
+    and its cell retried.  A cell that exhausts its attempts comes back
+    ``failed`` with a :class:`FaultReport` and is quarantined here, so
+    the rest of the grid completes and readers get a structured error.
+    No pool is created when every key is already in memory or on disk.
     """
     from .pool import get_shared_pool
 
@@ -616,28 +605,18 @@ def _run_wave(keys: List[Tuple], jobs: int,
             misses.append(key)
     if not misses:
         return
-    pool = get_shared_pool(
-        jobs,
-        cache_dir=str(_RESULT_CACHE_DIR) if _RESULT_CACHE_DIR else None,
-        spool=_HEARTBEAT_SPOOL if _HEARTBEAT_EVERY else None,
-    )
-    pool_jobs = pool.submit_batch(
+    pool_jobs = get_shared_pool(jobs).run(
         [_request_for(key) for key in misses],
         keys=misses, plan=_FAULT_PLAN,
         timeout=cell_timeout, retries=retries,
+        cache_dir=str(_RESULT_CACHE_DIR) if _RESULT_CACHE_DIR else None,
     )
-    pool.wait(pool_jobs)
     for key, job in zip(misses, pool_jobs):
         if job.status == "done":
             _CACHE[key] = result_from_dict(job.result_dict)
         else:
-            report = job.report or FaultReport(
-                site="harness.worker", kind="crash",
-                message=f"cell {_cell_id(key)} lost by the pool",
-                context={"cell": _cell_id(key), "attempts": job.attempts},
-            )
-            _QUARANTINE[key] = report
-            _spool_quarantine(key, report)
+            _QUARANTINE[key] = job.report
+            _spool_quarantine(key, job.report)
 
 
 def prefetch(figure_ids: Iterable[str], jobs: int,

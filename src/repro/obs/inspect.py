@@ -15,7 +15,7 @@ Three views:
 * ``repro inspect`` / ``repro inspect --fleet [DIR]`` — a grid-wide
   rollup over every run file in the spool: per-cell progress (labels,
   seq, ops, heap pressure, live/done/stale), quarantine records written
-  by the parallel harness, and aggregate heap pressure.
+  by the figure prefetch (``--jobs N``), and aggregate heap pressure.
 * ``--json`` on either view emits the structured form instead of text.
 
 Everything here is read-only and tolerant: a torn line, a file pruned
@@ -88,32 +88,8 @@ def discover_runs(spool: Path) -> List[Path]:
     return sorted(runs, key=mtime)
 
 
-def discover_pools(spool: Path) -> List[Dict]:
-    """``pool-<pid>.json`` status files published by the worker pool.
-
-    One per :class:`~repro.harness.pool.WorkerPool` (and hence per
-    ``repro serve`` instance) spooling into this directory: worker pids
-    and states, queue depth, steal/replacement counters.
-    """
-    records: List[Dict] = []
-    try:
-        paths = sorted(spool.glob("pool-*.json"))
-    except OSError:
-        return []
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(record, dict) and record.get("kind") == "pool":
-            record["path"] = str(path)
-            records.append(record)
-    return records
-
-
 def discover_quarantine(spool: Path) -> List[Dict]:
-    """Quarantine records the parallel harness spooled (see figures.py)."""
+    """Quarantine records the figure prefetch spooled (see figures.py)."""
     records: List[Dict] = []
     try:
         paths = sorted(spool.glob("quarantine-*.json"))
@@ -280,7 +256,6 @@ def fleet_rollup(spool: Path,
             "heap_occupancy": heap.get("occupancy", 0.0),
         })
     quarantine = discover_quarantine(spool)
-    pools = discover_pools(spool)
     active = [r for r in runs if r["status"] != "done"]
     live_words = sum(r["heap_live_words"] for r in active)
     capacity = sum(r["heap_capacity_words"] for r in active)
@@ -288,7 +263,6 @@ def fleet_rollup(spool: Path,
         "spool": str(spool),
         "runs": runs,
         "quarantine": quarantine,
-        "pools": pools,
         "aggregate": {
             "runs": len(runs),
             "live": sum(1 for r in runs if r["status"] == "live"),
@@ -312,25 +286,6 @@ def render_fleet(rollup: Dict) -> str:
         f" {agg['quarantined']} quarantined,"
         f" {len(agg['workers'])} worker(s)"
     ]
-    for pool in rollup.get("pools", []):
-        workers = pool.get("workers") or []
-        busy = sum(1 for w in workers if w.get("state") == "busy")
-        lines.append(
-            f"  pool pid={pool.get('pid', '?')} [{pool.get('phase', '?')}]:"
-            f" {len(workers)} worker(s) ({busy} busy),"
-            f" {pool.get('queued', 0)} queued,"
-            f" {pool.get('completed', 0)} done,"
-            f" {pool.get('failed', 0)} failed,"
-            f" {pool.get('steals', 0)} steal(s),"
-            f" {pool.get('replaced', 0)} replaced"
-        )
-        for w in workers:
-            cell = f" ← {w['cell']}" if w.get("cell") else ""
-            lines.append(
-                f"    worker {w.get('id', '?')} pid={w.get('pid', '?')}"
-                f" {w.get('state', '?')}"
-                f" ({w.get('jobs_done', 0)} jobs){cell}"
-            )
     if rollup["runs"]:
         header = (f"  {'cell':24} {'pid':>7} {'seq':>5} {'ops':>10}"
                   f" {'heap%':>6} {'status':>6}")

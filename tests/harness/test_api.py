@@ -144,21 +144,6 @@ class TestCacheVersioning:
 
         assert CACHE_VERSION == 4
 
-    def test_cell_key_carries_params_axis(self):
-        bare = figures_mod.cell_key("server", 0, "cg")
-        with_params = figures_mod.cell_key(
-            "server", 0, "cg", params={"pattern": "bursty"})
-        assert bare != with_params
-        # Param order must not split the cache.
-        assert with_params == figures_mod.cell_key(
-            "server", 0, "cg", params={"pattern": "bursty"})
-
-    def test_request_for_round_trips_params(self):
-        key = figures_mod.cell_key("server", 0, "cg",
-                                   params={"requests": 25})
-        request = figures_mod._request_for(key)
-        assert request["params"] == {"requests": 25}
-
 
 class TestRunMany:
     def test_pooled_batch_matches_in_process_runs(self):

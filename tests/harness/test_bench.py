@@ -176,6 +176,14 @@ class TestTrend:
         assert any("new cell bc-arith/cg" in line for line in lines)
         assert any("removed cell jess/jdk" in line for line in lines)
 
+    def test_no_shared_cell_fails(self):
+        # A trend against a baseline with a disjoint grid compares
+        # nothing, so it must not read as a pass.
+        ok, lines = bench.trend(tiny_report(), tiny_report(workload="db"))
+        assert not ok
+        assert any("0 shared cells" in line for line in lines)
+        assert any("no cell shared" in line for line in lines)
+
 
 class TestDispatchSpeedup:
     def test_geomean_over_bc_workloads(self):

@@ -12,8 +12,10 @@ import os
 
 import pytest
 
-from repro.faults import FaultReport
+from repro.faults import FaultPlan, FaultReport
 from repro.harness import cli, figures
+from repro.harness.pool import shutdown_shared_pool
+from repro.obs import inspect as inspect_mod
 
 
 @pytest.fixture(autouse=True)
@@ -69,6 +71,22 @@ class TestQuarantineSpool:
         figures._spool_quarantine(("jess", 1, "cg", None, None, None),
                                   self.report())
         assert not list(tmp_path.iterdir())
+
+    def test_poisoned_prefetch_writes_one_record(self, tmp_path):
+        figures.set_heartbeat(5000, str(tmp_path))
+        figures.set_fault_plan(
+            FaultPlan.parse("harness.worker:crash:cell=jess:count=inf"))
+        try:
+            figures.prefetch(["4.2"], 2, retries=0)
+        finally:
+            figures.set_fault_plan(None)
+            shutdown_shared_pool()
+        assert [key[:3] for key in figures.quarantined()] == [
+            ("jess", 1, "cg-nogc")]
+        files = [f.name for f in tmp_path.glob("quarantine-*")]
+        assert files == ["quarantine-jess-1-cg-nogc.json"]
+        rollup = inspect_mod.fleet_rollup(tmp_path)
+        assert rollup["aggregate"]["quarantined"] == 1
 
 
 class TestCliFlags:

@@ -1,10 +1,12 @@
-"""The persistent worker pool: warm workers, stealing, crash tolerance."""
+"""The worker pool: warm workers, one batch per call, crash tolerance."""
+
+import threading
 
 import pytest
 
 from repro.faults import FaultPlan
+from repro.harness import pool as pool_mod
 from repro.harness.pool import (
-    PoolJob,
     ResultCache,
     WorkerPool,
     execute_request,
@@ -34,24 +36,16 @@ def as_stored(result_dict):
 
 
 class TestWarmWorkers:
-    def test_warmup_returns_one_pid_per_worker(self):
-        with WorkerPool(3) as pool:
-            warm = pool.warmup(timeout=30)
-            assert sorted(warm) == [0, 1, 2]
-            pids = set(warm.values())
-            assert len(pids) == 3
-            assert pids == set(pool.worker_pids())
-
     def test_second_submission_reuses_a_live_warm_worker(self):
-        # The whole point of the pool: no respawn between submissions.
+        # The whole point of the pool: no respawn between batches.
         with WorkerPool(2) as pool:
-            warm = set(pool.warmup(timeout=30).values())
-            first = pool.submit(req("db")).wait(60)
-            second = pool.submit(req("jess")).wait(60)
-            assert first.status == "done" and second.status == "done"
-            assert first.pid in warm
-            assert second.pid in warm
-            assert pool.stats()["replaced"] == 0
+            first = pool.run([req("db"), req("jess")])
+            second = pool.run([req("jack"), req("compress")])
+            assert all(j.status == "done" for j in first + second)
+            warm = {j.pid for j in first}
+            assert len(warm) == 2
+            assert {j.pid for j in second} <= warm
+            assert pool.replaced == 0
 
 
 class TestScheduling:
@@ -63,44 +57,20 @@ class TestScheduling:
             four = [strip_wall(j) for j in wide.run(grid)]
         assert one == four
 
-    def test_idle_workers_steal_from_a_skewed_shard(self):
-        # Pin every job onto worker 0's local deque: worker 1 can only
-        # make progress by stealing from its peer's tail.
-        with WorkerPool(2) as pool:
-            pool.warmup(timeout=30)
-            jobs = [pool.submit(req("db", system=system), shard=0)
-                    for system in ("cg", "cg-nogc", "jdk", "cg-reset",
-                                   "cg-recycle", "jdk-nogc")]
-            assert pool.wait(jobs, timeout=120)
-            assert all(j.status == "done" for j in jobs)
-            stats = pool.stats()
-            assert stats["steals"] >= 1
-            assert len({j.pid for j in jobs}) == 2
 
-    def test_same_key_single_flights_in_process(self):
-        with WorkerPool(2) as pool:
-            key = ("db", 1, "cg-nogc", "k")
-            a = pool.submit(req("db"), key=key)
-            b = pool.submit(req("db"), key=key)
-            assert a is b
-            a.wait(60)
-            assert a.status == "done"
-            # Terminal jobs leave the in-flight table: a re-submit is new.
-            c = pool.submit(req("db"), key=key)
-            assert c is not a
-            c.wait(60)
-            assert c.status == "done"
+class ExplodingPlan:
+    """A fault plan whose worker-injection hook raises mid-batch."""
+
+    def worker_injection(self, cell_id, attempt):
+        raise KeyboardInterrupt
 
 
 class TestCrashTolerance:
     def test_poisoned_cell_quarantined_worker_replaced_queue_drains(self):
         plan = FaultPlan.parse("harness.worker:crash:cell=jess:count=inf")
         with WorkerPool(2) as pool:
-            jobs = pool.submit_batch(
-                [req(name) for name in ("db", "jess", "jack")],
-                plan=plan, retries=1,
-            )
-            assert pool.wait(jobs, timeout=120)
+            jobs = pool.run([req(name) for name in ("db", "jess", "jack")],
+                            plan=plan, retries=1)
             by_cell = {request_cell_id(j.request): j for j in jobs}
             poisoned = by_cell["jess:1:cg-nogc"]
             assert poisoned.status == "failed"
@@ -109,42 +79,46 @@ class TestCrashTolerance:
             # Every other cell drained despite two worker deaths.
             assert by_cell["db:1:cg-nogc"].status == "done"
             assert by_cell["jack:1:cg-nogc"].status == "done"
-            stats = pool.stats()
-            assert stats["replaced"] >= 2
-            assert stats["queued"] == 0
+            assert by_cell["db:1:cg-nogc"].report is None
+            assert pool.replaced >= 2
             # The pool is still serviceable after the replacements.
-            assert pool.submit(req("compress")).wait(60).status == "done"
+            (job,) = pool.run([req("compress")])
+            assert job.status == "done"
 
     def test_transient_crash_recovers_on_retry(self):
         plan = FaultPlan.parse("harness.worker:crash:cell=db:count=1")
         with WorkerPool(2) as pool:
-            job = pool.submit(req("db"), plan=plan, retries=2).wait(120)
+            (job,) = pool.run([req("db")], plan=plan, retries=2)
             assert job.status == "done"
             assert job.attempts == 1  # one charged failure, then success
-            assert pool.stats()["replaced"] >= 1
+            assert pool.replaced >= 1
 
     def test_hung_worker_is_killed_and_the_cell_times_out(self):
         plan = FaultPlan.parse(
             "harness.worker:hang:cell=db:seconds=30:count=inf"
         )
         with WorkerPool(1) as pool:
-            job = pool.submit(req("db"), plan=plan, timeout=0.5,
-                              retries=0).wait(60)
+            (job,) = pool.run([req("db")], plan=plan, timeout=0.5,
+                              retries=0)
             assert job.status == "failed"
             assert job.report.kind == "hang"
-            assert pool.stats()["replaced"] >= 1
+            assert pool.replaced >= 1
 
-    def test_shutdown_fails_stranded_jobs_instead_of_hanging_waiters(self):
-        pool = WorkerPool(1)
-        plan = FaultPlan.parse(
-            "harness.worker:hang:cell=db:seconds=30:count=inf"
-        )
-        stuck = pool.submit(req("db"), plan=plan, retries=0)
-        queued = pool.submit(req("jess"), plan=plan, retries=0)
-        pool.shutdown()
-        assert stuck.wait(5).status == "failed"
-        assert queued.wait(5).status == "failed"
-        assert "shut down" in queued.report.message
+    def test_exception_in_run_closes_the_pool(self):
+        shared = pool_mod.get_shared_pool(1)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                shared.run([req("db")], plan=ExplodingPlan())
+            assert shared.closed
+            assert not any(w.proc.is_alive() for w in shared._workers)
+            with pytest.raises(RuntimeError, match="shut down"):
+                shared.run([req("db")])
+            fresh = pool_mod.get_shared_pool(1)
+            assert fresh is not shared
+            (job,) = fresh.run([req("db")])
+            assert job.status == "done"
+        finally:
+            pool_mod.shutdown_shared_pool()
 
 
 class TestSharedResultCache:
@@ -165,36 +139,26 @@ class TestSharedResultCache:
 
     def test_two_pools_share_one_cache_directory(self, tmp_path):
         key = ("jess", 1, "cg-nogc", "fingerprint", False)
-        with WorkerPool(1, cache_dir=str(tmp_path)) as first:
-            a = first.submit(req("jess"), key=key).wait(60)
+        with WorkerPool(1) as first:
+            (a,) = first.run([req("jess")], keys=[key],
+                             cache_dir=str(tmp_path))
             assert a.status == "done" and not a.cached
-        with WorkerPool(1, cache_dir=str(tmp_path)) as second:
-            b = second.submit(req("jess"), key=key).wait(60)
+        with WorkerPool(1) as second:
+            (b,) = second.run([req("jess")], keys=[key],
+                              cache_dir=str(tmp_path))
             assert b.status == "done" and b.cached
             assert as_stored(b.result_dict) == as_stored(a.result_dict)
 
 
 class TestJobPlumbing:
-    def test_done_callback_fires_even_when_added_late(self):
-        with WorkerPool(1) as pool:
-            job = pool.submit(req("db")).wait(60)
-            seen = []
-            job.add_done_callback(seen.append)
-            assert seen == [job]
-
-    def test_pool_status_spooled_for_inspect(self, tmp_path):
-        with WorkerPool(2, spool=str(tmp_path)) as pool:
-            pool.submit(req("db")).wait(60)
-        import json
-
-        files = list(tmp_path.glob("pool-*.json"))
-        assert len(files) == 1
-        status = json.loads(files[0].read_text())
-        assert status["kind"] == "pool"
-        assert status["phase"] == "final"
-        assert status["completed"] >= 1
-        assert len(status["workers"]) == 2
-
     def test_pool_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(0)
+
+    def test_pool_starts_no_thread(self):
+        before = threading.active_count()
+        with WorkerPool(2) as pool:
+            assert threading.active_count() == before
+            (job,) = pool.run([req("db")])
+            assert job.status == "done"
+            assert threading.active_count() == before

@@ -2,9 +2,9 @@
 
 Every process that runs a cell pays for the modules ``import repro``
 pulls in, in resident memory and start-up time, so the package keeps
-heavyweight standard-library machinery off that path: ``socket`` belongs
-to the serve harness and ``multiprocessing`` to the worker pool, and each
-is imported only by the code that uses it.
+heavyweight standard-library machinery off that path: ``socket`` has no
+user in the package, and ``multiprocessing`` belongs to the worker pool,
+which only its callers import.
 """
 
 import os

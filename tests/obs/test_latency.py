@@ -103,27 +103,3 @@ class TestInspectRendering:
         text = inspect_mod.render_snapshot(snap)
         assert "latency interpret: p50 0.500ms p99 2.250ms max 9.000ms" in text
         assert "(640 samples, window 512)" in text
-
-    def test_fleet_renders_pool_status(self, tmp_path):
-        (tmp_path / "pool-77.json").write_text(json.dumps({
-            "kind": "pool", "phase": "serving", "pid": 77, "jobs": 2,
-            "queued": 3, "completed": 9, "failed": 1, "steals": 4,
-            "replaced": 2,
-            "workers": [
-                {"id": 0, "pid": 78, "state": "busy",
-                 "cell": "jess:1:cg", "jobs_done": 5},
-                {"id": 1, "pid": 79, "state": "idle",
-                 "cell": None, "jobs_done": 4},
-            ],
-        }))
-        rollup = inspect_mod.fleet_rollup(tmp_path)
-        assert len(rollup["pools"]) == 1
-        text = inspect_mod.render_fleet(rollup)
-        assert "pool pid=77 [serving]: 2 worker(s) (1 busy)" in text
-        assert "3 queued" in text and "4 steal(s)" in text
-        assert "worker 0 pid=78 busy (5 jobs) ← jess:1:cg" in text
-
-    def test_non_pool_json_in_spool_is_ignored(self, tmp_path):
-        (tmp_path / "pool-1.json").write_text('{"kind": "other"}')
-        (tmp_path / "pool-2.json").write_text("not json")
-        assert inspect_mod.discover_pools(tmp_path) == []

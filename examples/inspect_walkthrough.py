@@ -71,12 +71,15 @@ def main():
             print(f"snapshot seq={snap['seq']:>4} phase={snap['phase']:5} "
                   f"ops={snap['ops']:>8} cell={cell} "
                   f"heap={100 * heap.get('occupancy', 0):.1f}%")
-        seqs = [(s["pid"], s["seq"]) for s in snapshots]
+        seqs = [(s["pid"], s["seq"], s["time"]) for s in snapshots]
         assert len(snapshots) == 3, snapshots
         # Three distinct snapshots.  Seqs increase within one run file,
         # but the child loops the workload forever, so the watcher may
         # cross into the next run's file, where seq restarts — strict
-        # monotonicity across all three would be a race, not a guarantee.
+        # monotonicity across all three would be a race, not a guarantee,
+        # and two runs' files can each yield the same seq.  The watcher
+        # tells snapshots apart by (run file, seq); the JSON carries no
+        # file name, so the capture time stands in for it.
         assert len(set(seqs)) == 3, seqs
         assert all(s["phase"] in ("live", "final") for s in snapshots)
         print("\nthree successive snapshots from a live child: OK")

@@ -52,6 +52,10 @@ from .stats import (
 )
 
 
+#: Builds an instance without running ``__init__`` (see :meth:`on_alloc`).
+_new = object.__new__
+
+
 class ResetSnapshot:
     """Pre-reset dependence of every live object (for the Fig. 4.11 metric)."""
 
@@ -130,8 +134,15 @@ class ContaminatedCollector:
     def on_alloc(self, handle: Handle, frame: Frame) -> EquiliveBlock:
         """A new object is associated with the currently active frame."""
         self.stats.objects_created += 1
-        # Inline of equilive.create(): a fresh handle is already a root.
-        block = EquiliveBlock(handle, frame)
+        # Inline of equilive.create() and EquiliveBlock(handle, frame),
+        # every slot in its order: a fresh handle is already a root.
+        block = _new(EquiliveBlock)
+        block.members = [handle]
+        block.frame = frame
+        block.static_cause = None
+        block.ever_unioned = False
+        block.root = handle
+        block.rank = 0
         handle.block = block
         self._live_blocks[block] = None
         frame.cg_blocks[block] = None
@@ -177,13 +188,54 @@ class ContaminatedCollector:
             raise untracked_error(container if bc is None else value)
         if bc is bv:
             return
-        if (bv.static_cause is not None and bc.static_cause is None
-                and self.policy.static_opt):
-            # Section 3.4: referencing an already-static object cannot make
-            # it "more live"; skip contaminating the container.
-            self.stats.static_opt_hits += 1
+        if bv.static_cause is not None:
+            if bc.static_cause is None and self.policy.static_opt:
+                # Section 3.4: referencing an already-static object cannot
+                # make it "more live"; skip contaminating the container.
+                self.stats.static_opt_hits += 1
+                return
+            self._merge(bc, bv)
             return
-        self._merge(bc, bv)
+        fc = bc.frame
+        fv = bv.frame
+        if bc.static_cause is not None or fc.thread_id != fv.thread_id:
+            self._merge(bc, bv)
+            return
+        # Inline of _merge and EquiliveManager.merge for the common case:
+        # two collectible blocks of one thread merge onto the older frame.
+        target = fc if fc.depth < fv.depth else fv
+        if self._trace:
+            self.tracer.emit(
+                "union", a=bc.members[0].id, b=bv.members[0].id,
+                sizes=[len(bc.members), len(bv.members)],
+                target_depth=target.depth,
+                static=target is self.static_frame,
+            )
+        equilive = self.equilive
+        equilive.finds += 4
+        equilive.unions += 1
+        if bc.rank < bv.rank:
+            winner, loser = bv, bc
+        else:
+            winner, loser = bc, bv
+            if bc.rank == bv.rank:
+                bc.rank += 1
+        loser_root = loser.root
+        loser_root.uf = winner.root
+        loser_root.block = None
+        loser.root = None
+        members, spliced = winner.members, loser.members
+        if len(members) < len(spliced):
+            winner.members, loser.members = spliced, members
+            members, spliced = spliced, members
+        members.extend(spliced)
+        winner.ever_unioned = True
+        del winner.frame.cg_blocks[winner]
+        del loser.frame.cg_blocks[loser]
+        del self._live_blocks[loser]
+        winner.frame = target
+        target.cg_blocks[winner] = None
+        self.stats.contaminations += 1
 
     def on_putstatic(self, value: Optional[Handle]) -> None:
         """A static variable now references ``value``: pin to frame 0."""
@@ -254,14 +306,19 @@ class ContaminatedCollector:
     def on_frame_pop(self, frame: Frame) -> int:
         """Collect every equilive block dependent on the popped frame.
 
-        Returns the number of objects reclaimed.  With recycling enabled the
-        dead objects are parked for reuse instead of freed (section 3.7).
+        Returns the number of objects reclaimed.  One walk over the frame's
+        blocks detaches each block and gathers its dead members; the pop's
+        statistics are totalled once, and all its dead objects reach the
+        heap in one :meth:`~repro.jvm.heap.Heap.free_many` call, in block
+        then member order.  With recycling enabled they are parked for
+        reuse instead (section 3.7).
         """
         stats = self.stats
         stats.frame_pops += 1
         blocks = frame.cg_blocks
+        trace = self._trace
         if not blocks:
-            if self._trace:
+            if trace:
                 self.tracer.emit(
                     "frame_pop", frame=frame.frame_id, depth=frame.depth,
                     blocks=0, freed=0,
@@ -272,44 +329,55 @@ class ContaminatedCollector:
         frame.cg_blocks = {}
         self.equilive.finds += len(blocks)
         live_blocks = self._live_blocks
-        recycling = self.policy.recycling
-        probe = self.reachability_probe if self.policy.paranoid else None
-        age_hist = stats.age_hist
         size_hist = stats.block_size_hist
         depth = frame.depth
-        freed = 0
+        # A member dies before its block pops only when a tracing collector
+        # frees it (lazy deletion), and every tracing collector counts such
+        # frees in ``collected_by_msa``: until the first, every member of a
+        # popped block is live and needs no filter.
+        lazy = stats.collected_by_msa != 0
+        dead: List[Handle] = []
+        collected = exact_blocks = exact_objects = 0
         for block in blocks:
             del live_blocks[block]
             block.root.block = None
             block.root = None
-            live = [h for h in block.members if not h.freed]
-            if not live:
-                continue
-            if probe is not None:
-                probe(live)
-            n = len(live)
-            stats.blocks_collected += 1
+            members = block.members
+            if lazy:
+                members = [h for h in members if not h.freed]
+                if not members:
+                    continue
+            n = len(members)
+            collected += 1
             size_hist[n] += 1
-            if self._trace:
+            if trace:
                 self.tracer.emit(
                     "block_collect", frame=frame.frame_id, depth=depth,
                     size=n, exact=not block.ever_unioned,
                 )
             if not block.ever_unioned:
-                stats.exact_blocks += 1
-                stats.exact_objects += n
-            for handle in live:
+                exact_blocks += 1
+                exact_objects += n
+            dead += members
+        stats.blocks_collected += collected
+        stats.exact_blocks += exact_blocks
+        stats.exact_objects += exact_objects
+        freed = len(dead)
+        if freed:
+            age_hist = stats.age_hist
+            for handle in dead:
                 age_hist[handle.birth_depth - depth] += 1
-            if recycling:
+            if self.policy.paranoid and self.reachability_probe is not None:
+                self.reachability_probe(dead)
+            if self.policy.recycling:
                 retire = self.heap.retire
-                for handle in live:
+                for handle in dead:
                     retire(handle, "contaminated-gc")
-                self.recycle.park(live)
+                self.recycle.park(dead)
             else:
-                self._free_many(live, "contaminated-gc")
-            freed += n
+                self._free_many(dead, "contaminated-gc")
         stats.objects_popped += freed
-        if self._trace:
+        if trace:
             self.tracer.emit(
                 "frame_pop", frame=frame.frame_id, depth=depth,
                 blocks=len(blocks), freed=freed,

@@ -1,19 +1,7 @@
-"""Evaluation harness: run configurations and regenerate the paper's figures."""
+"""Evaluation harness: run configurations and regenerate the paper's figures.
 
-from ..api import SYSTEMS, RunResult, config_for
-from .costmodel import CostBreakdown, cost_of
-from .figures import ALL_FIGURES, cached_run, clear_cache
-from .tables import Table, render_all
-
-__all__ = [
-    "ALL_FIGURES",
-    "CostBreakdown",
-    "RunResult",
-    "SYSTEMS",
-    "Table",
-    "cached_run",
-    "clear_cache",
-    "config_for",
-    "cost_of",
-    "render_all",
-]
+The package re-exports nothing, so importing one submodule loads only that
+submodule: ``repro.api`` imports ``costmodel`` on every run, and must not
+pull in the figure tables with it.  Import what you need from its module
+(``repro.harness.figures``, ``repro.harness.tables``, ...).
+"""

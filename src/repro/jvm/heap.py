@@ -44,6 +44,11 @@ HANDLE_WORDS_CG_SQUEEZED = 8
 HANDLE_WORDS_CG_WIDE = 16
 
 
+#: Builds an instance without running ``__init__``: the hot allocation
+#: paths fill every slot inline and skip the class call's Python frame.
+_new = object.__new__
+
+
 class Handle:
     """Per-object record: storage location, class, fields, and CG bookkeeping.
 
@@ -325,22 +330,68 @@ class Heap:
         recycle list, run the tracing collector, or raise OutOfMemoryError.
         """
         # Inline of size_of(): this is the hottest call in the VM.
+        nfields = len(cls.fields)
         if cls.is_array:
             size = OBJECT_HEADER_WORDS + WORDS_PER_ELEMENT * max(0, length or 0)
         else:
-            nfields = len(cls.fields)
             size = OBJECT_HEADER_WORDS + (nfields if nfields else 1)
         fault = self._alloc_fault
         if fault is not None and fault(size):
             return None
-        addr = self._fl_allocate(size)
-        if addr is None:
-            return None
+        # Inline of FreeList.allocate's first probe (the block at the
+        # next-fit hint, which the last allocation split); a miss, or an
+        # empty list, takes the full scan, which repeats that probe and
+        # counts its step.
+        fl = self.free_list
+        sizes = fl._sizes
+        n = len(sizes)
+        start = fl._next_fit
+        if start > n - 1:
+            start = n - 1
+        bsize = sizes[start] if n else 0
+        if bsize >= size:
+            addrs = fl._addrs
+            addr = addrs[start]
+            if bsize == size:
+                del addrs[start]
+                del sizes[start]
+            else:
+                addrs[start] = addr + size
+                sizes[start] = bsize - size
+            fl.search_steps += 1
+            fl._next_fit = start
+            fl.allocs += 1
+        else:
+            addr = self._fl_allocate(size)
+            if addr is None:
+                return None
         hid = self._next_id
-        handle = Handle(
-            hid, cls, addr, size, alloc_thread, birth_frame_id,
-            birth_depth, length,
-        )
+        # Inline of Handle(hid, cls, addr, size, alloc_thread,
+        # birth_frame_id, birth_depth, length): every slot, in its order.
+        handle = _new(Handle)
+        handle.id = hid
+        handle.cls = cls
+        handle.addr = addr
+        handle.size = size
+        if cls.is_array:
+            handle.fields = None
+            handle.elements = [None] * (length or 0)
+        else:
+            template = cls._field_template
+            if template is None or len(template) != nfields:
+                template = cls.field_template()
+            handle.fields = template.copy()
+            handle.elements = None
+        handle.freed = False
+        handle.freed_by = None
+        handle.alloc_thread = alloc_thread
+        handle.birth_frame_id = birth_frame_id
+        handle.birth_depth = birth_depth
+        handle.pinned_cause = None
+        handle.mark = False
+        handle.pyvalue = None
+        handle.uf = None
+        handle.block = None
         self._next_id = hid + 1
         self._handles[hid] = handle
         self.objects_created += 1
@@ -359,13 +410,20 @@ class Heap:
     def free_many(self, handles: List[Handle], freed_by: str) -> None:
         """:meth:`free` each of ``handles``, in order, in one call.
 
-        Frees the same blocks in the same order as a :meth:`free` loop, so
-        the free map and every counter match; it only saves the per-object
-        method calls on the frame-pop and sweep paths.
+        The loop body is :meth:`retire` and :meth:`FreeList.free` inlined:
+        the same blocks coalesce in the same order, with the same checks
+        and messages, and the next-fit hint resets to 0 after exactly the
+        free that a :meth:`free` loop would reset it after, so the free map
+        and every counter match.  It saves the per-object method calls on
+        the frame-pop and sweep paths.
         """
         table = self._handles
-        fl_free = self.free_list.free
-        words = 0
+        fl = self.free_list
+        addrs = fl._addrs
+        sizes = fl._sizes
+        n = len(addrs)
+        next_fit = fl._next_fit
+        words = frees = 0
         try:
             for handle in handles:
                 if handle.freed:
@@ -377,8 +435,38 @@ class Heap:
                 del table[handle.id]
                 handle.fields = None
                 handle.elements = None
-                fl_free(handle.addr, size)
+                # Inline of FreeList.free(handle.addr, size).
+                if size <= 0:
+                    raise ValueError("freed size must be positive")
+                addr = handle.addr
+                i = bisect_right(addrs, addr)
+                prev_end = addrs[i - 1] + sizes[i - 1] if i > 0 else -1
+                if prev_end > addr:
+                    raise VMError(f"free overlaps preceding block at {addr}")
+                end = addr + size
+                if i < n and end > addrs[i]:
+                    raise VMError(f"free overlaps following block at {addr}")
+                frees += 1
+                if prev_end == addr:
+                    if i < n and end == addrs[i]:
+                        sizes[i - 1] += size + sizes[i]
+                        del addrs[i]
+                        del sizes[i]
+                        n -= 1
+                    else:
+                        sizes[i - 1] += size
+                elif i < n and end == addrs[i]:
+                    addrs[i] = addr
+                    sizes[i] += size
+                else:
+                    addrs.insert(i, addr)
+                    sizes.insert(i, size)
+                    n += 1
+                if next_fit >= n:
+                    next_fit = 0
         finally:
+            fl.frees += frees
+            fl._next_fit = next_fit
             self.live_words -= words
             self.bytes_freed += words
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import CGPolicy, Mutator, UseAfterCollect
+from repro.core.equilive import EquiliveBlock
 from repro.core.stats import (
     CAUSE_INTERN,
     CAUSE_NATIVE,
@@ -27,6 +28,17 @@ class TestAlloc:
             for _ in range(3):
                 m.drop(m.new("Node"))
         assert rt.collector.stats.objects_created == 3
+
+    def test_alloc_fills_every_block_slot_like_the_constructor(self, rt, m):
+        # on_alloc builds the block slot by slot instead of calling
+        # EquiliveBlock(...): a slot the constructor gains must be set there.
+        with m.frame() as f:
+            h = m.new("Node")
+            got = h.block
+            want = EquiliveBlock(h, f)
+            for slot in EquiliveBlock.__slots__:
+                assert getattr(got, slot) == getattr(want, slot), slot
+            m.drop(h)
 
     def test_alloc_outside_any_frame_is_pinned(self, rt):
         # Class-loading-time allocation (section 3.2): no frame in scope.

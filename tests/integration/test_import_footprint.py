@@ -1,10 +1,11 @@
-"""What ``import repro`` loads.
+"""What ``import repro`` and one run load.
 
 Every process that runs a cell pays for the modules ``import repro``
 pulls in, in resident memory and start-up time, so the package keeps
 heavyweight standard-library machinery off that path: ``socket`` has no
 user in the package, and ``multiprocessing`` belongs to the worker pool,
-which only its callers import.
+which only its callers import.  A run needs the cost model from the
+harness but none of the figure machinery.
 """
 
 import os
@@ -31,3 +32,23 @@ def test_import_repro_loads_no_socket_or_multiprocessing():
     assert "repro" in loaded
     assert "socket" not in loaded
     assert not {m for m in loaded if m.split(".")[0] == "multiprocessing"}
+
+
+RUN_PROBE = (
+    "import sys\n"
+    "import repro\n"
+    "repro.run('jess', 1, 'cg')\n"
+    "print('\\n'.join(sorted(sys.modules)))\n"
+)
+
+
+def test_a_run_loads_the_cost_model_but_not_the_figures():
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    loaded = set(out.split())
+    assert "repro.harness.costmodel" in loaded
+    assert "repro.harness.figures" not in loaded
+    assert "repro.harness.tables" not in loaded

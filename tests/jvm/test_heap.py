@@ -6,6 +6,7 @@ from repro.jvm.errors import UseAfterCollect, VMError
 from repro.jvm.heap import (
     OBJECT_HEADER_WORDS,
     FreeList,
+    Handle,
     Heap,
 )
 from repro.jvm.model import Program
@@ -169,6 +170,22 @@ class TestHeapAllocation:
         assert h.alloc_thread == 3
         assert h.birth_frame_id == 42
         assert h.birth_depth == 7
+
+    @pytest.mark.parametrize("kind", ["object", "fieldless", "array"])
+    def test_allocate_fills_every_slot_like_the_constructor(self, kind):
+        # Heap.allocate builds the handle slot by slot instead of calling
+        # Handle(...): a slot the constructor gains must be set there too.
+        heap, prog = make_heap()
+        cls, length = {
+            "object": (prog.define_class("S", fields=["a", "b"]), None),
+            "fieldless": (prog.define_class("E", fields=[]), None),
+            "array": (prog.lookup(Program.ARRAY), 3),
+        }[kind]
+        got = heap.allocate(cls, 2, 9, 4, length)
+        want = Handle(got.id, cls, got.addr, got.size, 2, 9, 4, length)
+        assert got.size == heap.size_of(cls, length)
+        for slot in Handle.__slots__:
+            assert getattr(got, slot) == getattr(want, slot), slot
 
 
 class TestHeapFreeAndAccounting:

@@ -307,9 +307,6 @@ class RunRequest:
     seed: int = 2000
     tracer: Optional[object] = None
     profile: bool = False
-    #: Maintain the per-opcode ``vm.op.*`` histogram (observational; like
-    #: ``tracer``/``profile`` it never changes a run's counters).
-    count_opcodes: bool = False
     #: Spool a :class:`~repro.obs.heartbeat.LiveSnapshot` every N ops so
     #: ``python -m repro inspect`` can watch the run from another process
     #: (observational: cadence is deterministic, counters are untouched).
@@ -399,8 +396,6 @@ class RunRequest:
             config.tracer = get_active_tracer()
         if self.profile:
             config.profile = True
-        if self.count_opcodes:
-            config.count_opcodes = True
         if self.heartbeat_every is not None:
             config.heartbeat_every = self.heartbeat_every
             config.heartbeat_spool = self.heartbeat_spool
@@ -420,8 +415,8 @@ class RunRequest:
 #: are rejected by :func:`request_to_dict`).
 _REQUEST_FIELDS = (
     "workload", "size", "system", "heap_words", "gc_period_ops", "seed",
-    "profile", "count_opcodes", "heartbeat_every", "heartbeat_spool",
-    "requests", "max_ops", "params", "cold_start",
+    "profile", "heartbeat_every", "heartbeat_spool", "requests", "max_ops",
+    "params", "cold_start",
 )
 
 
@@ -539,7 +534,6 @@ def run(
     seed: int = 2000,
     tracer=None,
     profile: bool = False,
-    count_opcodes: bool = False,
     heartbeat_every: Optional[int] = None,
     heartbeat_spool: Optional[str] = None,
     faults: Optional[FaultPlan] = None,
@@ -567,10 +561,9 @@ def run(
     return execute(RunRequest(
         workload=workload, size=size, system=system, heap_words=heap_words,
         gc_period_ops=gc_period_ops, seed=seed, tracer=tracer,
-        profile=profile, count_opcodes=count_opcodes,
-        heartbeat_every=heartbeat_every, heartbeat_spool=heartbeat_spool,
-        faults=faults, config=config, requests=requests, max_ops=max_ops,
-        params=params,
+        profile=profile, heartbeat_every=heartbeat_every,
+        heartbeat_spool=heartbeat_spool, faults=faults, config=config,
+        requests=requests, max_ops=max_ops, params=params,
     ))
 
 

@@ -30,7 +30,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from difflib import get_close_matches
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .jvm.errors import VMError
 
@@ -314,12 +314,12 @@ class CrashDump:
     """Postmortem snapshot of a runtime, JSON-serializable end to end.
 
     Built on the same base serializer as the live-inspection heartbeat
-    (:func:`repro.obs.heartbeat.runtime_snapshot`): both carry the
-    ``cg-snapshot/6`` schema tag plus heap occupancy, equilive/recycle
-    censuses, frame stacks, and fault stats.  A crash dump adds the
-    postmortem sections (``reason``/``site``/``trace_tail``/``retained``/
-    ``fault_plan``); a heartbeat adds liveness identity and the metrics
-    registry instead.
+    (:func:`repro.obs.heartbeat.runtime_snapshot`): both carry its
+    ``SNAPSHOT_SCHEMA`` tag plus heap occupancy, equilive/recycle
+    censuses, frame stacks, fault stats, and the ``requests`` and
+    ``compile`` sections.  A crash dump adds the postmortem sections
+    (``reason``/``site``/``trace_tail``/``retained``/``fault_plan``); a
+    heartbeat adds liveness identity and the metrics registry instead.
     """
 
     def __init__(self, data: Dict) -> None:
@@ -361,12 +361,6 @@ class CrashDump:
         plan = runtime.config.faults
         data["fault_plan"] = plan.describe() if plan is not None else None
         return cls(data)
-
-    @staticmethod
-    def _frame_stacks(runtime) -> List[Dict]:
-        from .obs.heartbeat import frame_stacks
-
-        return frame_stacks(runtime)
 
 
 def inject(runtime, site: str, kind: str, message: str,

@@ -42,9 +42,11 @@ must record at least the floor, and the live measurement must stay
 within the noise tolerance of it.  Each cell also reports the one-time
 link + codegen warmup, split into ``compile_ms_first_iter``
 (cold: the cross-runtime codegen cache cleared first — what the first
-request of a fresh process pays) and ``compile_ms`` (steady-state:
-caches warm, the binding-rebuild cost every later run pays) — both
-harvested from extra profiled runs so the timed runs stay unprofiled.
+request of a fresh process pays; one extra run per cell) and
+``compile_ms`` (the link + codegen time inside the reported, fastest
+repeat: steady state once a repeat finds the cache warm, the
+binding-rebuild cost every later run pays) — both read from the
+interpreter's always-on ``vm.compile.ms``, so no grid run is profiled.
 ``--warmup-curve`` measures the cold-to-peak trajectory itself:
 first-iteration wall, steady-state wall, and iterations to reach peak
 per system.
@@ -123,18 +125,18 @@ def run_bench(
         # before rep i+1, so all of a workload's cells sample the same
         # machine-speed windows and cross-system ratios (the dispatch
         # ladder) don't inherit slow CPU drift.  Min over repeats per
-        # cell is taken across the interleaved passes.
-        best: Dict[str, float] = {system: math.inf for system in systems}
-        results: Dict[str, object] = {}
+        # cell is taken across the interleaved passes; the fastest
+        # repeat's result is the one reported.
+        best: Dict[str, Tuple[float, object]] = {}
         for _ in range(max(1, repeats)):
             for system in systems:
                 started = time.perf_counter()
-                results[system] = run_workload(workload, size, system)
+                result = run_workload(workload, size, system)
                 elapsed = time.perf_counter() - started
-                best[system] = min(best[system], elapsed)
+                if system not in best or elapsed < best[system][0]:
+                    best[system] = (elapsed, result)
         for system in systems:
-            wall = best[system]
-            result = results[system]
+            wall, result = best[system]
             entries.append({
                 "workload": workload,
                 "size": size,
@@ -143,11 +145,9 @@ def run_bench(
                 "ops": result.ops,
                 "ops_per_sec": result.ops / wall if wall else 0.0,
                 "alloc_search_steps": result.alloc_search_steps,
-                # Cold first (clears the cross-runtime codegen cache and
-                # repopulates it), then steady-state with caches warm.
-                "compile_ms_first_iter": _harvest_compile_ms(
-                    workload, size, system, cold=True),
-                "compile_ms": _harvest_compile_ms(workload, size, system),
+                "compile_ms_first_iter": _cold_compile_ms(
+                    workload, size, system),
+                "compile_ms": _compile_ms(result.metrics),
             })
     return {
         "version": BENCH_VERSION,
@@ -157,33 +157,25 @@ def run_bench(
     }
 
 
-def _harvest_compile_ms(workload: str, size: int, system: str,
-                        cold: bool = False) -> float:
-    """One-time dispatch-compilation warmup for a cell, in milliseconds.
+def _compile_ms(metrics: Dict) -> float:
+    """A run's link + codegen wall time in milliseconds: the interpreter's
+    always-on ``vm.compile.ms`` (0.0 when the run had no interpreter or
+    promoted nothing, as under the table mode)."""
+    return metrics.get("gauges", {}).get("vm.compile.ms", 0.0)
 
-    The ``codegen`` profiler phase (link + Python source generation +
-    ``compile``/``exec``) from one *extra* profiled run — the timed
-    repeats stay unprofiled so the phase timers never tax the wall
-    clocks being reported.  The table mode never compiles and reports
-    0.0.
 
-    ``cold=False`` (the ``compile_ms`` column): the cross-runtime codegen
-    cache is warm by harvest time (the timed repeats populated it), so
-    it reflects the steady-state link + binding-rebuild cost — the same
-    cost the timed walls contain.  ``cold=True`` (the
-    ``compile_ms_first_iter`` column): the in-memory cache is cleared
-    first, so the measurement is what the first run of a fresh process
-    pays — full source generation + ``compile`` for every method the
-    system chooses to codegen.  The cold/warm split is exactly where the
-    tiered default wins: it codegens only the methods that got hot.
+def _cold_compile_ms(workload: str, size: int, system: str) -> float:
+    """The ``compile_ms_first_iter`` column: :func:`_compile_ms` of one
+    extra run after the in-memory codegen cache is cleared — what the
+    first run of a fresh process pays, full source generation +
+    ``compile`` for every method the system chooses to codegen.  The
+    cold/warm split is exactly where the tiered default wins: it
+    codegens only the methods that got hot.
     """
-    if cold:
-        from ..jvm.compiledcode import clear_codegen_caches
+    from ..jvm.compiledcode import clear_codegen_caches
 
-        clear_codegen_caches()
-    result = run_workload(workload, size, system, profile=True)
-    gauges = result.metrics.get("gauges", {})
-    return gauges.get("profile.codegen_s", 0.0) * 1000.0
+    clear_codegen_caches()
+    return _compile_ms(run_workload(workload, size, system).metrics)
 
 
 def _pooled_min_wall(cells: Sequence[Tuple[str, str]], request_for,
@@ -232,11 +224,11 @@ def _run_bench_pooled(workloads: Sequence[str], systems: Sequence[str],
             "ops": result["ops"],
             "ops_per_sec": result["ops"] / wall if wall else 0.0,
             "alloc_search_steps": result["alloc_search_steps"],
-            # Harvested in-process: the pool protocol ships counters, not
-            # profiler gauges, and one profiled run per cell is cheap.
-            "compile_ms_first_iter": _harvest_compile_ms(
-                workload, size, system, cold=True),
-            "compile_ms": _harvest_compile_ms(workload, size, system),
+            # Cold runs in-process: a pool worker's codegen cache is
+            # whatever its earlier jobs left.
+            "compile_ms_first_iter": _cold_compile_ms(workload, size,
+                                                      system),
+            "compile_ms": _compile_ms(result["metrics"]),
         })
     return {
         "version": BENCH_VERSION,

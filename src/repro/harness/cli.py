@@ -46,9 +46,7 @@ def trace_summary_main(argv) -> int:
         print(f"not a JSONL event trace: {args.path} ({exc})", file=sys.stderr)
         return 2
     complete = int(meta.get("dropped", 0)) == 0
-    summary = summarize(events, complete=complete,
-                        op_hist=meta.get("op_hist"))
-    print(summary.render())
+    print(summarize(events, complete=complete).render())
     return 0
 
 
@@ -129,12 +127,6 @@ def main(argv=None) -> int:
     # cannot leak a stale heartbeat setting.
     figures_mod.set_heartbeat(args.heartbeat_every, args.spool)
 
-    # Per-opcode execution counts (vm.op.*) only exist when requested:
-    # counting swaps in a slower dispatch loop, so it must never tax a
-    # plain figure run.  Set unconditionally — the flag is process-global
-    # and main() may be invoked more than once in one process (tests).
-    figures_mod.set_opcode_counting(bool(args.metrics))
-
     if args.faults:
         try:
             plan = figures_mod.FaultPlan.parse(args.faults)
@@ -200,16 +192,7 @@ def main(argv=None) -> int:
     if tracer is not None:
         with tracing_to(tracer):
             generate()
-        # With --metrics the runs counted opcodes; fold the per-run vm.op
-        # histograms into the trace meta so trace-summary can report them
-        # (events themselves carry no opcodes).
-        op_hist = {}
-        if args.metrics:
-            for result in figures_mod.cached_results():
-                for op, n in result.metrics.get(
-                        "histograms", {}).get("vm.op", {}).items():
-                    op_hist[op] = op_hist.get(op, 0) + int(n)
-        written = write_trace(args.trace, tracer, op_hist=op_hist or None)
+        written = write_trace(args.trace, tracer)
         status = "complete" if tracer.complete else (
             f"ring overflowed, {tracer.dropped} oldest events dropped"
         )

@@ -55,19 +55,6 @@ def set_fault_plan(plan: Optional[FaultPlan]) -> None:
     _FAULT_PLAN = plan
 
 
-#: Ambient per-opcode counting flag (set by the CLI's ``--metrics``): cells
-#: run with ``count_opcodes=True`` so the export carries ``vm.op.*``.
-#: Observational only, but cached results would silently lack the histogram
-#: — so the flag is part of the cell key without entering the fingerprint.
-_COUNT_OPCODES = False
-
-
-def set_opcode_counting(flag: bool) -> None:
-    """Run subsequent cells with the per-opcode ``vm.op.*`` histogram."""
-    global _COUNT_OPCODES
-    _COUNT_OPCODES = bool(flag)
-
-
 #: Ambient heartbeat settings (set by the CLI's --heartbeat-every/--spool):
 #: every cell run through this module — sequentially or in a prefetch
 #: worker — spools live snapshots for ``python -m repro inspect --fleet``.
@@ -101,12 +88,11 @@ def cell_key(workload: str, size: int, system: str,
     so a config change can never serve a stale cached result.  The heap
     size passed to ``config_for`` here is a placeholder: the fingerprint
     deliberately excludes ``heap_words``, which is its own key axis.
-    The last element is the module's ambient opcode-counting flag.
     """
     config = config_for(system, heap_words or (1 << 20), gc_period_ops)
     config.faults = plan
     return (workload, size, system, gc_period_ops, heap_words,
-            config.fingerprint(), _COUNT_OPCODES)
+            config.fingerprint())
 
 
 def _result_cache():
@@ -147,7 +133,6 @@ def cached_run(workload: str, size: int, system: str,
             result = api_run(
                 workload, size, system, gc_period_ops=gc_period_ops,
                 heap_words=heap_words, faults=plan,
-                count_opcodes=_COUNT_OPCODES,
                 heartbeat_every=_HEARTBEAT_EVERY,
                 heartbeat_spool=_HEARTBEAT_SPOOL,
             )
@@ -532,11 +517,8 @@ def _cell_id(key: Tuple) -> str:
 def _request_for(key: Tuple) -> Dict:
     """The serialized run request for one cell key (the pool's wire form).
 
-    key[6] is the parent's _COUNT_OPCODES flag (see cell_key): honouring
-    it here keeps pool-computed cells interchangeable with sequential
-    ones — a counting key always maps to a result carrying ``vm.op.*``.
-    The ambient fault plan and heartbeat settings ride along the same
-    way the old worker entry point received them.
+    The ambient fault plan and heartbeat settings ride along, so
+    pool-computed cells are interchangeable with sequential ones.
     """
     workload, size, system, gc_period_ops, heap_words = key[:5]
     plan = _FAULT_PLAN
@@ -546,7 +528,6 @@ def _request_for(key: Tuple) -> Dict:
         "system": system,
         "gc_period_ops": gc_period_ops,
         "heap_words": heap_words,
-        "count_opcodes": bool(key[6]),
         "heartbeat_every": _HEARTBEAT_EVERY,
         "heartbeat_spool": _HEARTBEAT_SPOOL,
         "faults": plan.to_dict() if plan is not None else None,

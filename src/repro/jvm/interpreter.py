@@ -33,10 +33,10 @@ thread via :meth:`call_sync`.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, List, TYPE_CHECKING, Tuple
 
 from ..faults import NativeCallFault, TrapFault, did_you_mean, inject
-from ..obs.profile import PHASE_CODEGEN, PHASE_INTERPRET
+from ..obs.profile import PHASE_CODEGEN
 from . import bytecode as bc
 from .errors import NullPointerError, VerifyError, VMError
 from .heap import Handle
@@ -437,14 +437,6 @@ _HANDLERS: Tuple = tuple(_HANDLER_BY_NAME[name] for name in bc.OPCODE_NAMES)
 assert len(_HANDLERS) == bc.OP_COUNT
 
 
-def _counting(op: int, handler, counts: List[int]):
-    """``handler`` behind a bump of ``counts[op]`` (``count_opcodes``)."""
-    def counted(interp, runtime, thread, frame, a, b):
-        counts[op] += 1
-        handler(interp, runtime, thread, frame, a, b)
-    return counted
-
-
 class Interpreter:
     """Executes bytecode methods on a runtime's threads."""
 
@@ -469,18 +461,6 @@ class Interpreter:
         #: The scheduler's registration list (grows on every new thread).
         self._threads: List[JThread] = runtime.scheduler._threads
         config = runtime.config
-        #: Per-opcode execution histogram (``count_opcodes`` mode only).
-        self.count_ops: bool = config.count_opcodes
-        self.op_counts: Optional[List[int]] = (
-            [0] * bc.OP_COUNT if self.count_ops else None
-        )
-        #: The table loop's opcode-indexed handlers; in ``count_opcodes``
-        #: mode each entry bumps ``op_counts`` before the real handler.
-        self._handlers: Tuple = (
-            tuple(_counting(op, handler, self.op_counts)
-                  for op, handler in enumerate(_HANDLERS))
-            if self.count_ops else _HANDLERS
-        )
         #: JMethod -> PyCompiledMethod, the generated Python form of each
         #: promoted method.  Per-interpreter: it is linked against this
         #: runtime's program and binds this runtime's services.
@@ -528,10 +508,7 @@ class Interpreter:
                 f"dispatch must be one of {DISPATCH_CHOICES}, got {dispatch!r}"
                 f"{did_you_mean(dispatch, DISPATCH_CHOICES)}"
             )
-        if dispatch == "tiered" and not self.count_ops:
-            # Tiered counts via the table loop: per-opcode observation
-            # needs per-instruction dispatch, the two modes are
-            # parity-equal, and promotion would only change wall time.
+        if dispatch == "tiered":
             self.step_n = self._step_n_tiered
         plan = config.faults
         #: The fault plan when it arms ``interp.step`` traps, else None.
@@ -770,14 +747,7 @@ class Interpreter:
         runtime = self.runtime
         executed = 0
         frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            # One clock pair per call, attributed to the entry depth —
-            # the per-depth profile is a poor man's flamegraph over the
-            # shadow stack at slice resolution, not per instruction.
-            profile_started = perf_counter()
-            profile_depth = len(frames)
-        handlers = self._handlers
+        handlers = _HANDLERS
         op_count = bc.OP_COUNT
         # The slice never reaches a due periodic GC or heartbeat (the
         # step_n wrapper ends it short of one), so ``tick`` is pure
@@ -809,10 +779,6 @@ class Interpreter:
             if ticked:
                 runtime.tick(ticked)
         self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
         return executed
 
     # ------------------------------------------------------------------
@@ -906,10 +872,6 @@ class Interpreter:
         runtime = self.runtime
         executed = 0
         frames = thread.stack.frames
-        profiler = runtime.profiler
-        if profiler.enabled:
-            profile_started = perf_counter()
-            profile_depth = len(frames)
         handlers = _HANDLERS
         op_count = bc.OP_COUNT
         _return = self._return
@@ -1038,19 +1000,7 @@ class Interpreter:
             if ticked:
                 runtime.tick(ticked)
         self.instructions_executed += executed
-        if profiler.enabled:
-            elapsed = perf_counter() - profile_started
-            profiler.add(PHASE_INTERPRET, elapsed)
-            profiler.charge_depth(profile_depth, elapsed)
         return executed
-
-    def opcode_histogram(self) -> Dict[str, int]:
-        """Mnemonic -> execution count (``count_opcodes`` runs only)."""
-        counts = self.op_counts
-        if not counts:
-            return {}
-        names = bc.OPCODE_NAMES
-        return {names[op]: n for op, n in enumerate(counts) if n}
 
     # ------------------------------------------------------------------
 

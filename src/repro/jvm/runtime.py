@@ -76,8 +76,9 @@ class RuntimeConfig:
     #: Event sink for the observability layer (:mod:`repro.obs`).  None
     #: installs the zero-overhead NullTracer.
     tracer: Optional[object] = None
-    #: Collect perf_counter phase timings (interpret / cg-events / msa /
-    #: recycle-search) and the per-frame-depth time profile.
+    #: Collect perf_counter phase timings (cg-events / msa /
+    #: recycle-search / codegen) and per-request latency attribution.
+    #: Observational: the interpreter takes the same loops either way.
     profile: bool = False
     #: Interpreter dispatch strategy: "tiered" (the default — methods
     #: start on the table's opcode handlers under an invocation +
@@ -98,12 +99,6 @@ class RuntimeConfig:
     #: (promotion timing never changes counters, but the knob is config,
     #: not observation).
     promote_after: int = 128
-    #: Maintain a per-opcode execution histogram (``vm.op.*`` metrics).
-    #: Purely observational — runs the table loop over counting handlers
-    #: but never changes a run's counters — so, like ``tracer``/``profile``,
-    #: it is excluded from :meth:`fingerprint`.  Off by default: the
-    #: zero-cost path stays zero-cost.
-    count_opcodes: bool = False
     #: Deterministic fault-injection plan (:mod:`repro.faults`).  None —
     #: the default for every figure and bench run — keeps each hook at a
     #: single is-not-None test, so results stay bit-identical.
@@ -112,9 +107,9 @@ class RuntimeConfig:
     #: every N mutator operations (``python -m repro inspect`` reads it).
     #: Pure op-counter cadence — snapshots fire at the same op counts
     #: under both dispatch modes — and purely observational, so, like
-    #: ``tracer``/``profile``/``count_opcodes``, it is excluded from
-    #: :meth:`fingerprint`.  Armed or not, bytecode runs take the same
-    #: dispatch loops (slices end where a beat is due).  Off by default.
+    #: ``tracer``/``profile``, it is excluded from :meth:`fingerprint`.
+    #: Armed or not, bytecode runs take the same dispatch loops (slices
+    #: end where a beat is due).  Off by default.
     heartbeat_every: Optional[int] = None
     #: Spool directory override for heartbeats (default: ``$REPRO_SPOOL``
     #: or ``<tempdir>/repro-spool``).
@@ -568,11 +563,6 @@ class Runtime:
             frames = thread.stack.frames
             caller = frames[-2] if len(frames) >= 2 else None
             self.collector.on_areturn(value, caller)
-
-    def _write_barrier(self, container: Handle, value: Handle) -> None:
-        barrier = self._write_barrier_fn
-        if barrier is not None:
-            barrier(container, value)
 
     # ------------------------------------------------------------------
     # Periodic GC trigger (Fig. 4.11 protocol)

@@ -1,6 +1,6 @@
 """repro.obs — observability for the CG runtime.
 
-Three independent layers, each a no-op unless explicitly enabled:
+Four independent layers, each a no-op unless explicitly enabled:
 
 * :mod:`repro.obs.events` — a bounded ring-buffer :class:`Tracer` the
   collector and VM emit typed events into (``new``, ``union``, ``promote``,
@@ -12,11 +12,11 @@ Three independent layers, each a no-op unless explicitly enabled:
   and histograms unifying ``CGStats``, heap occupancy, and tracing-GC work
   into one snapshot/delta-able view with ``to_dict()``/JSONL emission.
 * :mod:`repro.obs.profile` — ``perf_counter``-based phase timers
-  (interpret, cg-events, msa, recycle-search) plus a per-frame-depth time
-  profile (a poor man's flamegraph over the shadow stack).
+  (cg-events, msa, recycle-search, codegen; none runs inside another)
+  plus per-request latency and pause attribution.
 * :mod:`repro.obs.heartbeat` / :mod:`repro.obs.inspect` — periodic
-  :class:`LiveSnapshot` heartbeats spooled to disk (and optionally a Unix
-  socket) every N executed opcodes, and the out-of-process
+  :class:`LiveSnapshot` heartbeats spooled to disk every N mutator
+  operations, and the out-of-process
   ``python -m repro inspect`` reader that renders single runs or a
   fleet-wide rollup from the spool.
 

@@ -173,15 +173,11 @@ def tracing_to(tracer: Tracer) -> Iterator[Tracer]:
 # JSONL export / reload
 # ---------------------------------------------------------------------------
 
-def write_trace(path: str, tracer: Tracer,
-                op_hist: Optional[Dict[str, int]] = None) -> int:
+def write_trace(path: str, tracer: Tracer) -> int:
     """Write a tracer's buffered events as JSONL; returns events written.
 
     The first line is a ``_meta`` record (emitted/dropped/capacity) so a
-    reloaded trace knows whether it is complete.  ``op_hist`` (optional)
-    embeds a per-opcode execution histogram in the meta record — trace
-    events carry no opcodes, so this is the only way ``trace-summary``
-    can report them later.
+    reloaded trace knows whether it is complete.
     """
     meta = {
         "kind": "_meta",
@@ -189,8 +185,6 @@ def write_trace(path: str, tracer: Tracer,
         "dropped": tracer.dropped,
         "capacity": tracer.capacity,
     }
-    if op_hist:
-        meta["op_hist"] = dict(op_hist)
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
@@ -255,11 +249,6 @@ class TraceSummary:
     degrades: int = 0
     oom_recoveries: int = 0
     pins_by_cause: Dict[str, int] = field(default_factory=dict)
-    #: Per-opcode execution histogram (mnemonic -> count).  Trace events
-    #: carry no opcodes, so this is attached from the interpreter's
-    #: ``count_opcodes`` histogram (``vm.op.*`` metrics) when available
-    #: rather than recomputed from the stream.
-    op_hist: Optional[Dict[str, int]] = None
 
     def render(self) -> str:
         lines = [
@@ -290,23 +279,13 @@ class TraceSummary:
             f"{kind}={count}" for kind, count in sorted(self.kind_counts.items())
         )
         lines.append(f"by kind:          {by_kind}")
-        if self.op_hist:
-            top = sorted(self.op_hist.items(), key=lambda kv: (-kv[1], kv[0]))
-            shown = ", ".join(f"{name}={count}" for name, count in top[:8])
-            if len(top) > 8:
-                shown += f", ... ({len(top) - 8} more)"
-            lines.append(f"top opcodes:      {shown}")
         return "\n".join(lines)
 
 
-def summarize(events: Iterable[TraceEvent], complete: bool = True,
-              op_hist: Optional[Dict[str, int]] = None) -> TraceSummary:
-    """Fold an event stream into a :class:`TraceSummary`.
-
-    ``op_hist`` (optional) attaches an interpreter per-opcode histogram —
-    see :attr:`TraceSummary.op_hist`.
-    """
-    summary = TraceSummary(complete=complete, op_hist=op_hist)
+def summarize(events: Iterable[TraceEvent],
+              complete: bool = True) -> TraceSummary:
+    """Fold an event stream into a :class:`TraceSummary`."""
+    summary = TraceSummary(complete=complete)
     kinds: Counter = Counter()
     pins: Counter = Counter()
     for event in events:

@@ -64,7 +64,11 @@ from typing import Dict, List, Optional
 #: closure tier is gone; ``codegen_ms`` includes the link step).
 #: v7 dropped the top-level ``allocator`` name (next-fit is the only
 #: allocator).
-SNAPSHOT_SCHEMA = "cg-snapshot/7"
+#: v8 dropped the ``latency`` section: its per-phase percentiles came
+#: from a window of at most 512 samples, so below 500 samples p999 was
+#: the window's max.  Per-request percentiles over every request stay in
+#: ``requests``.
+SNAPSHOT_SCHEMA = "cg-snapshot/8"
 
 #: Snapshots retained per run file (a ring: older beats roll off).
 DEFAULT_RING = 16
@@ -134,10 +138,6 @@ def runtime_snapshot(runtime) -> Dict:
     stats = getattr(runtime, "fault_stats", None)
     data["fault_stats"] = dict(stats) if stats else {}
     profiler = getattr(runtime, "profiler", None)
-    data["latency"] = (
-        profiler.latency_summary()
-        if profiler is not None and profiler.enabled else None
-    )
     data["requests"] = (
         profiler.request_summary()
         if profiler is not None and profiler.enabled else None

@@ -200,15 +200,6 @@ def render_snapshot(snapshot: Dict, path: Optional[Path] = None) -> str:
             f" · pause p99 {pause_ms.get('p99_ms', 0.0):.3f}ms"
             f" ({requests.get('pause_share_pct', 0.0):.1f}% of request time)"
         )
-    latency = snapshot.get("latency") or {}
-    for phase, dist in sorted(latency.items()):
-        lines.append(
-            f"  latency {phase}: p50 {dist.get('p50_ms', 0.0):.3f}ms"
-            f" p99 {dist.get('p99_ms', 0.0):.3f}ms"
-            f" max {dist.get('max_ms', 0.0):.3f}ms"
-            f" ({dist.get('samples', 0)} samples,"
-            f" window {dist.get('window', 0)})"
-        )
     top = _top_counters(snapshot)
     if top:
         lines.append(

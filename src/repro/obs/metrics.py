@@ -5,13 +5,13 @@ Before this module every consumer read raw attributes from three places —
 ``tracing.work`` (a ``GCWork``) — and each figure generator, benchmark, and
 ``BENCH_*.json`` row did its own ad-hoc aggregation.  The registry is the
 single source of truth: ``collect_runtime_metrics`` folds all three (plus
-union-find work, recycle-list state, and phase-profile samples) into typed
+union-find work, recycle-list state, and phase-timer totals) into typed
 namespaced metrics:
 
 * **counters** — monotone totals (``cg.objects_popped``, ``gc.mark_visits``)
 * **gauges** — instantaneous levels (``heap.live_words``, ``heap.occupancy``)
 * **histograms** — bucketed distributions (``cg.age_hist``,
-  ``profile.depth_seconds``)
+  ``cg.block_size_hist``)
 
 Snapshots are plain dicts, so ``delta`` (this window minus the last) and
 JSONL emission are trivial; the harness's rows and benchmark JSON read from
@@ -131,16 +131,10 @@ def collect_runtime_metrics(
 
     reg.set_counter("vm.ops", runtime.ops)
 
-    # --- per-opcode histogram (count_opcodes runs only) -------------------
+    # --- compile budget (always-on interpreter accounting) ----------------
     # getattr, not the lazy property: collecting metrics must not force the
     # creation of an interpreter the run never used.
     interp = getattr(runtime, "_interpreter", None)
-    if interp is not None and getattr(interp, "count_ops", False):
-        op_hist = interp.opcode_histogram()
-        if op_hist:
-            reg.merge_histogram("vm.op", op_hist)
-
-    # --- compile budget (always-on interpreter accounting) ----------------
     if interp is not None:
         reg.set_counter("vm.compile.codegenned", interp.methods_codegenned)
         reg.set_counter("vm.compile.promoted", interp.methods_promoted)
@@ -197,10 +191,4 @@ def collect_runtime_metrics(
         for phase, seconds in profiler.seconds.items():
             reg.set_gauge(f"profile.{phase}_s", seconds)
             reg.set_counter(f"profile.{phase}_samples", profiler.calls[phase])
-        depth_hist = {
-            depth: int(seconds * 1e9)
-            for depth, seconds in sorted(profiler.depth_seconds.items())
-        }
-        if depth_hist:
-            reg.merge_histogram("profile.depth_ns", depth_hist)
     return reg

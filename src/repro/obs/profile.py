@@ -2,21 +2,17 @@
 
 The paper's timing argument (sections 4.5-4.6) decomposes cost into
 mutator work, CG maintenance, and tracing-collector work; our cost model
-charges those from counters.  The profiler measures the same decomposition
-in *real* ``time.perf_counter()`` seconds, so the model's weights can be
-sanity-checked against this substrate and hot paths can be found before
-optimizing them.
+charges those from counters.  The profiler measures the collector's side
+of that decomposition in *real* ``time.perf_counter()`` seconds, so the
+model's weights can be sanity-checked against this substrate.
 
-Two instruments:
-
-* **Phase timers** — named accumulators (``interpret``, ``cg-events``,
-  ``msa``, ``recycle-search``) charged by the VM at coarse boundaries: one
-  sample per interpreter dispatch call (one scheduling slice) / GC cycle /
-  recycle search, never per instruction.
-* **Depth profile** — interpreter time attributed to the shadow-stack
-  depth at which it was spent: a one-dimensional flamegraph that shows
-  which call depths dominate (and hence which frames' pops CG should win
-  on).
+Four phase timers, charged by the VM at coarse boundaries (one sample per
+CG event handler call, GC cycle, recycle search or method promotion,
+never per instruction): ``cg-events``, ``msa``, ``recycle-search`` and
+``codegen``.  None of them runs inside another, so their seconds add up
+to no more than the run's wall time; the rest is mutator work.  On top of
+the timers sits per-request attribution for request-structured workloads
+(:meth:`PhaseProfiler.request_summary`).
 
 As with tracing, the default :data:`NULL_PROFILER` advertises
 ``enabled = False`` and hot paths guard on that flag, so profiling-off
@@ -26,30 +22,24 @@ costs a branch, not a clock read.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict, deque
-from contextlib import contextmanager
+from collections import defaultdict
 from time import perf_counter
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-#: Per-phase sample window for the latency distribution (a bounded deque:
-#: percentiles reflect the most recent samples, memory stays O(1)).
-SAMPLE_WINDOW = 512
-
-#: Canonical phase names the VM charges (others are allowed).
-PHASE_INTERPRET = "interpret"
+#: The phase names the VM charges.
 PHASE_CG_EVENTS = "cg-events"
 PHASE_MSA = "msa"
 PHASE_RECYCLE = "recycle-search"
 #: One-time link + Python-source generation + ``exec`` when tiered
 #: dispatch promotes a method (a codegen-cache hit pays only the link and
-#: the binding rebuild) — never on the hot loop.  The bench harness's
-#: ``compile_ms`` column reads this phase.
+#: the binding rebuild) — never on the hot loop.  Its seconds are the
+#: ones the interpreter's always-on ``vm.compile.ms`` gauge adds up.
 PHASE_CODEGEN = "codegen"
 
 #: Phases that count as *collector pause time* for per-request
 #: attribution: the tracing collector (allocation-failure or periodic
-#: MSA), CG's event handlers, and the recycle-list search.  Interpreter
-#: and one-time codegen phases are mutator/warmup time.
+#: MSA), CG's event handlers, and the recycle-list search.  One-time
+#: codegen is warmup time.
 PAUSE_PHASES = frozenset({PHASE_MSA, PHASE_CG_EVENTS, PHASE_RECYCLE})
 
 #: Phases that count as *warmup* (one-time compilation) for per-request
@@ -83,20 +73,13 @@ def _nearest_rank(window: List[float]) -> Dict[str, float]:
 
 
 class PhaseProfiler:
-    """Accumulates seconds per named phase and per stack depth."""
+    """Accumulates seconds per named phase and per request."""
 
     enabled = True
 
     def __init__(self) -> None:
         self.seconds: Dict[str, float] = defaultdict(float)
         self.calls: Dict[str, int] = defaultdict(int)
-        #: stack depth -> interpreter seconds spent at that depth.
-        self.depth_seconds: Dict[int, float] = defaultdict(float)
-        #: phase -> bounded window of recent per-sample durations, the
-        #: raw material for :meth:`latency_summary`'s percentiles.
-        self.samples: Dict[str, deque] = defaultdict(
-            lambda: deque(maxlen=SAMPLE_WINDOW)
-        )
         #: Full per-request samples (seconds): total window time and the
         #: pause-phase time that landed inside it.  Unbounded on purpose —
         #: p999 over a server run needs every request, not a window.
@@ -117,7 +100,6 @@ class PhaseProfiler:
     def add(self, phase: str, seconds: float) -> None:
         self.seconds[phase] += seconds
         self.calls[phase] += 1
-        self.samples[phase].append(seconds)
         if phase in PAUSE_PHASES:
             self.pause_hist[
                 bisect_left(PAUSE_BUCKETS_MS, seconds * 1000.0)
@@ -154,47 +136,9 @@ class PhaseProfiler:
         self.request_pauses.append(pause_s)
         self.request_compiles.append(compile_s)
 
-    def charge_depth(self, depth: int, seconds: float) -> None:
-        self.depth_seconds[depth] += seconds
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a block (convenience wrapper for non-hot call sites)."""
-        started = perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, perf_counter() - started)
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-
-    def total_seconds(self) -> float:
-        return sum(self.seconds.values())
-
-    def latency_summary(self) -> Dict[str, Dict]:
-        """Per-phase timing percentiles over the recent sample window.
-
-        ``{phase: {"p50_ms", "p99_ms", "max_ms", "samples", "window"}}``
-        — nearest-rank percentiles in milliseconds.  ``samples`` is the
-        lifetime count (``calls``); ``window`` is how many of them back
-        the percentiles (at most :data:`SAMPLE_WINDOW`).  This is the
-        timing distribution the ``cg-snapshot`` schema carries: the
-        counters say how much total time each phase took, this says how
-        that time was *shaped* — the tail the paper's no-marking-pause
-        claim is really about.
-        """
-        summary: Dict[str, Dict] = {}
-        for phase in sorted(self.samples):
-            window = sorted(self.samples[phase])
-            if not window:
-                continue
-            entry = _nearest_rank(window)
-            entry["samples"] = self.calls[phase]
-            entry["window"] = len(window)
-            summary[phase] = entry
-        return summary
 
     def request_summary(self) -> Optional[Dict]:
         """Per-request latency attribution, or None before any request.
@@ -202,11 +146,10 @@ class PhaseProfiler:
         Splits each request's wall time into mutator work and collector
         pause time (the :data:`PAUSE_PHASES` samples that landed inside
         the window) and reports nearest-rank p50/p99/p999/max over the
-        *full* run — unlike :meth:`latency_summary`, no sliding window,
-        because a server's tail is precisely the samples a window would
-        age out.  ``pause_hist`` buckets every pause-phase sample (in- or
-        out-of-request) per :data:`PAUSE_BUCKETS_MS` plus one overflow
-        slot.
+        *full* run — no sliding window, because a server's tail is
+        precisely the samples a window would age out.  ``pause_hist``
+        buckets every pause-phase sample (in- or out-of-request) per
+        :data:`PAUSE_BUCKETS_MS` plus one overflow slot.
         """
         totals = self.request_totals
         if not totals:
@@ -237,38 +180,6 @@ class PhaseProfiler:
             },
         }
 
-    def to_dict(self) -> Dict[str, Dict]:
-        return {
-            "phases": {
-                name: {"seconds": self.seconds[name], "samples": self.calls[name]}
-                for name in sorted(self.seconds)
-            },
-            "depth_seconds": {
-                str(depth): seconds
-                for depth, seconds in sorted(self.depth_seconds.items())
-            },
-        }
-
-    def render(self) -> str:
-        """Human-readable report: phase table + depth bars."""
-        total = self.total_seconds() or 1.0
-        lines = ["phase              seconds   share  samples"]
-        for name in sorted(self.seconds, key=self.seconds.get, reverse=True):
-            seconds = self.seconds[name]
-            lines.append(
-                f"{name:<18} {seconds:8.4f}  {100.0 * seconds / total:5.1f}%"
-                f"  {self.calls[name]}"
-            )
-        if self.depth_seconds:
-            lines.append("")
-            lines.append("interpreter time by stack depth:")
-            peak = max(self.depth_seconds.values()) or 1.0
-            for depth in sorted(self.depth_seconds):
-                seconds = self.depth_seconds[depth]
-                bar = "#" * max(1, int(40 * seconds / peak))
-                lines.append(f"  depth {depth:>3} {seconds:8.4f}s {bar}")
-        return "\n".join(lines)
-
 
 class NullProfiler:
     """No-op stand-in; ``enabled`` is False so hot paths skip the clock."""
@@ -276,17 +187,12 @@ class NullProfiler:
     enabled = False
     seconds: Dict[str, float] = {}
     calls: Dict[str, int] = {}
-    depth_seconds: Dict[int, float] = {}
-    samples: Dict[str, deque] = {}
     request_totals: List[float] = []
     request_pauses: List[float] = []
     request_compiles: List[float] = []
     pause_hist: List[int] = []
 
     def add(self, phase: str, seconds: float) -> None:  # pragma: no cover
-        pass
-
-    def charge_depth(self, depth: int, seconds: float) -> None:  # pragma: no cover
         pass
 
     def request_begin(self) -> None:
@@ -297,19 +203,6 @@ class NullProfiler:
 
     def request_summary(self) -> Optional[Dict]:
         return None
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        yield
-
-    def total_seconds(self) -> float:
-        return 0.0
-
-    def latency_summary(self) -> Dict[str, Dict]:
-        return {}
-
-    def to_dict(self) -> Dict[str, Dict]:
-        return {"phases": {}, "depth_seconds": {}}
 
 
 #: Shared no-op instance (stateless, safe to share across runtimes).

@@ -45,7 +45,8 @@ class TestRequestSerialization:
         plan = FaultPlan.parse("heap.alloc:oom:after=1000000000")
         original = RunRequest("jess", 2, "cg-nogc", heap_words=1 << 18,
                               gc_period_ops=700, seed=17, profile=True,
-                              count_opcodes=True, faults=plan)
+                              heartbeat_every=300, cold_start=True,
+                              faults=plan)
         restored = api.request_from_dict(api.request_to_dict(original))
         for field in api._REQUEST_FIELDS:
             assert getattr(restored, field) == getattr(original, field)

@@ -198,39 +198,3 @@ class TestCLI:
         from repro.harness.cli import main
 
         assert main([]) == 2
-
-
-class TestOpcodeCountingCacheKey:
-    """The counting flag keys the cache: a counting run is never served a
-    histogram-less cached cell (and vice versa), in both the sequential
-    and the worker-process paths."""
-
-    def teardown_method(self):
-        figures.set_opcode_counting(False)
-        figures.clear_cache()
-
-    def test_flag_changes_cell_key(self):
-        figures.set_opcode_counting(False)
-        plain = figures.cell_key("bc-list", 1, "cg")
-        figures.set_opcode_counting(True)
-        counting = figures.cell_key("bc-list", 1, "cg")
-        assert plain != counting
-        assert plain[:6] == counting[:6]
-
-    def test_sequential_run_carries_histogram(self):
-        figures.set_opcode_counting(True)
-        result = figures.cached_run("bc-list", 1, "cg")
-        hist = result.metrics["histograms"]["vm.op"]
-        assert sum(hist.values()) == result.metrics["counters"]["vm.ops"]
-
-    def test_worker_honors_key_flag(self):
-        from repro.harness.pool import execute_request
-
-        figures.set_opcode_counting(True)
-        key = figures.cell_key("bc-list", 1, "cg")
-        request = figures._request_for(key)
-        assert request["count_opcodes"] is True
-        flat, cached, _wall = execute_request(request)
-        assert not cached
-        hist = flat["metrics"]["histograms"]["vm.op"]
-        assert sum(hist.values()) == flat["metrics"]["counters"]["vm.ops"]

@@ -11,7 +11,8 @@ occupancy and per-thread frame depths at each, and the CG counters the
 collections decide.
 
 Observing a run must not change its code path either: a deadline that
-never fires leaves promotion to generated code as in the plain run.
+never fires, the phase profiler or an event tracer leaves promotion to
+generated code as in the plain run.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import pytest
 
 from repro import Runtime, RuntimeConfig, assemble
 from repro.api import RunRequest, config_for, execute
+from repro.obs.events import Tracer
 from repro.workloads.base import get_workload
 from tests.conftest import assert_dispatch_parity, dispatch_sweep
 from tests.jvm.test_lone_slice import CASES, schedules_agree
@@ -207,9 +209,17 @@ def test_spawn_at_a_chunk_end_ends_the_slice(case):
 
 
 @pytest.mark.parametrize("observe", [
-    dict(gc_period_ops=10 ** 12), dict(heartbeat_every=10 ** 12),
-], ids=["gc_period_ops", "heartbeat_every"])
-def test_deadline_that_never_fires_keeps_the_path(observe, tmp_path):
+    lambda: dict(gc_period_ops=10 ** 12),
+    lambda: dict(heartbeat_every=10 ** 12),
+    lambda: dict(profile=True),
+    lambda: dict(tracer=Tracer()),
+], ids=["gc_period_ops", "heartbeat_every", "profile", "tracer"])
+def test_deadline_that_never_fires_keeps_the_path(observe, tmp_path,
+                                                  monkeypatch):
+    # Pinned to tiered (the suite may sweep the default to table): the
+    # plain cold run promotes and codegens 4 methods.
+    monkeypatch.setenv("REPRO_DISPATCH", "tiered")
+
     def run(**config):
         result = execute(RunRequest("bc-calls", 10, "cg", cold_start=True,
                                     heartbeat_spool=str(tmp_path), **config))
@@ -217,4 +227,4 @@ def test_deadline_that_never_fires_keeps_the_path(observe, tmp_path):
         return (result.ops, counters["vm.compile.promoted"],
                 counters["vm.compile.codegenned"])
 
-    assert run(**observe) == run()
+    assert run(**observe()) == run() == (586_396, 4, 4)

@@ -279,11 +279,6 @@ class TestObservedRuns:
             lambda rt: lambda: rt.tracing.work.cycles,
             gc_period_ops=60, heap_words=4096))
 
-    def test_opcode_histogram(self):
-        assert_dispatch_parity(schedules_agree(
-            self.CASE, self.QUANTUM,
-            lambda rt: rt.interpreter.opcode_histogram, count_opcodes=True))
-
     @pytest.mark.parametrize("after", [120, 250])
     def test_trap_index(self, after):
         # The trap lands after the native's callback spawned, while the

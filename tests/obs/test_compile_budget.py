@@ -3,7 +3,7 @@
 The interpreter's always-on compile counters (codegen, promotions, and
 the link + codegen wall time) feed three read-only surfaces —
 ``vm.compile.*`` in the metrics registry, the ``compile`` section of the
-``cg-snapshot/7`` schema, and the per-request ``compile_ms`` attribution in
+``cg-snapshot/8`` schema, and the per-request ``compile_ms`` attribution in
 ``RunResult.latency``.  All three must be pure observation: armed or
 not, a run's counters stay bit-identical.  A cold run codegens each
 promoted method exactly once.
@@ -87,6 +87,23 @@ class TestMetricsSurface:
         assert (counters["vm.compile.codegenned"]
                 == counters["vm.compile.promoted"])
 
+    @pytest.mark.parametrize("request_kwargs", [
+        dict(workload="bc-list", size=1),
+        dict(workload="bc-calls", size=1),
+        dict(workload="server", requests=100),
+    ], ids=["bc-list", "bc-calls", "server"])
+    def test_codegen_phase_is_vm_compile_ms(self, request_kwargs,
+                                            monkeypatch):
+        # The profiler's codegen phase and the always-on vm.compile.ms add
+        # the same perf_counter elapsed per promotion, so the bench's
+        # compile columns read the gauge and need no profiled run.
+        monkeypatch.setenv("REPRO_DISPATCH", "tiered")
+        gauges = execute(RunRequest(system="cg", cold_start=True,
+                                    profile=True, **request_kwargs)
+                         ).metrics["gauges"]
+        assert gauges["vm.compile.ms"] > 0.0
+        assert gauges["profile.codegen_s"] * 1000.0 == gauges["vm.compile.ms"]
+
     def test_unstarted_runtime_has_no_compile_metrics(self):
         # No interpreter yet -> the compile block is absent, not zeroed.
         rt = Runtime(RuntimeConfig())
@@ -98,7 +115,7 @@ class TestSnapshotSurface:
     def test_compile_section_in_snapshot(self):
         rt = run_tiered(promote_after=4)
         data = runtime_snapshot(rt)
-        assert data["schema"] == "cg-snapshot/7"
+        assert data["schema"] == "cg-snapshot/8"
         compile_section = data["compile"]
         assert compile_section["methods_promoted"] > 0
         assert compile_section["codegen_ms"] >= 0.0

@@ -10,7 +10,7 @@ The heartbeat is the live counterpart of the crash dump: every
 * arming a heartbeat leaves every determinism counter bit-identical to a
   heartbeat-off run — observation must not perturb the experiment;
 * the spool ring never exceeds its bounds (lines per file, files per pid);
-* crash dumps and heartbeats share the ``cg-snapshot/7`` schema.
+* crash dumps and heartbeats share the ``cg-snapshot/8`` schema.
 """
 
 from __future__ import annotations

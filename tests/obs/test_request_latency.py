@@ -115,7 +115,7 @@ class TestSurface:
 
         (run_file,) = tmp_path.glob("run-*.jsonl")
         snapshot = latest_snapshot(run_file)
-        assert snapshot["schema"] == "cg-snapshot/7"
+        assert snapshot["schema"] == "cg-snapshot/8"
         requests = snapshot["requests"]
         assert requests["requests"] == result.latency["requests"] == 40
         assert requests["pause_hist"]["le_ms"] == list(PAUSE_BUCKETS_MS)

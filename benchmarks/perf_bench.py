@@ -3,11 +3,11 @@
 
 Regenerate the committed baseline from the repo root::
 
-    PYTHONPATH=src python benchmarks/perf_bench.py --out BENCH_3.json
+    PYTHONPATH=src python benchmarks/perf_bench.py --repeats 8 --out BENCH_7.json
 
 CI runs the quick variant and gates on the committed baseline::
 
-    PYTHONPATH=src python -m repro bench --small --check BENCH_3.json
+    PYTHONPATH=src python -m repro bench --small --repeats 5 --check BENCH_7.json
 """
 
 import sys

@@ -23,6 +23,14 @@ import argparse
 from repro.api import run
 
 
+def ms(value, width=7):
+    """A latency in milliseconds; ``-`` for a tail percentile that the
+    request count cannot resolve (the run reports it as None)."""
+    if value is None:
+        return "-".rjust(width + 2)
+    return f"{value:{width}.3f}ms"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--requests", type=int, default=400,
@@ -49,11 +57,11 @@ def main():
         gc_cycles = result.gc_work.cycles
         popped = (result.cg_stats.objects_popped
                   if result.cg_stats is not None else 0)
-        print(f"{system:12s} p50 {req_ms.get('p50_ms', 0.0):7.3f}ms"
-              f"  p99 {req_ms.get('p99_ms', 0.0):7.3f}ms"
-              f"  p999 {req_ms.get('p999_ms', 0.0):7.3f}ms"
-              f"  max {req_ms.get('max_ms', 0.0):7.3f}ms"
-              f"  | pause p99 {pause_ms.get('p99_ms', 0.0):6.3f}ms"
+        print(f"{system:12s} p50 {ms(req_ms.get('p50_ms'))}"
+              f"  p99 {ms(req_ms.get('p99_ms'))}"
+              f"  p999 {ms(req_ms.get('p999_ms'))}"
+              f"  max {ms(req_ms.get('max_ms'))}"
+              f"  | pause p99 {ms(pause_ms.get('p99_ms'), 6)}"
               f" ({lat.get('pause_share_pct', 0.0):4.1f}%)"
               f"  gc cycles {gc_cycles:3d}"
               f"  CG-popped {popped:5d}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Union
 
 from .core.policy import CGPolicy
@@ -258,37 +258,15 @@ def result_from_dict(data: Dict) -> RunResult:
 # The facade
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """A workload named together with its parameter bindings.
-
-    The parameter-carrying replacement for bare name+size pairs: a
-    ``RunRequest.workload`` may be a plain name (historical), a live
-    :class:`~repro.workloads.base.Workload` instance (process-local), or
-    one of these — which, unlike an instance, serializes through
-    :func:`request_to_dict` and participates in cache keys.
-    """
-
-    name: str
-    params: Dict = field(default_factory=dict)
-
-    def to_dict(self) -> Dict:
-        return {"name": self.name, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "WorkloadSpec":
-        return cls(name=data["name"], params=dict(data.get("params") or {}))
-
-
 @dataclass
 class RunRequest:
     """The explicit form of a :func:`run` call.
 
-    Exactly one construction path exists: ``config`` (when given) is used
-    as-is and ``system`` becomes a pure label; otherwise the config is
-    built by :func:`config_for` from ``system``/``heap_words``/
-    ``gc_period_ops``.  ``faults`` attaches a :class:`repro.faults.FaultPlan`
-    either way.
+    Exactly one construction path exists: ``config`` (when given) is
+    copied, the run's observers and faults go on the copy, and ``system``
+    becomes a pure label; otherwise the config is built by
+    :func:`config_for` from ``system``/``heap_words``/``gc_period_ops``.
+    ``faults`` attaches a :class:`repro.faults.FaultPlan` either way.
 
     **Termination policy.**  Batch workloads take the SPEC ``size`` knob
     (defaulting to 1, exactly as before).  Open-ended workloads
@@ -299,7 +277,7 @@ class RunRequest:
     Passing ``requests=``/``max_ops=`` to a batch workload is an error.
     """
 
-    workload: Union[str, Workload, WorkloadSpec]
+    workload: Union[str, Workload]
     size: Optional[int] = None
     system: str = "cg"
     heap_words: Optional[int] = None
@@ -320,9 +298,8 @@ class RunRequest:
     requests: Optional[int] = None
     #: Optional op-budget cap for open-ended workloads.
     max_ops: Optional[int] = None
-    #: Extra workload parameter bindings, merged over the
-    #: :class:`WorkloadSpec` ones (the wire-friendly way to parameterize
-    #: a plain string ``workload``).
+    #: Workload parameter bindings, validated against the workload's
+    #: schema (the wire-friendly way to parameterize a named workload).
     params: Optional[Dict] = None
     #: Clear the cross-runtime codegen caches before the run, so it pays
     #: the true fresh-process warmup bill.  The SLA grid's first-request
@@ -341,11 +318,7 @@ class RunRequest:
                     "Workload instance; bind them at construction instead"
                 )
             return self.workload
-        if isinstance(self.workload, WorkloadSpec):
-            name, merged = self.workload.name, dict(self.workload.params)
-        else:
-            name, merged = self.workload, {}
-        merged.update(self.params or {})
+        name, merged = self.workload, dict(self.params or {})
         cls = REGISTRY.get(name)
         open_ended = cls is not None and cls.open_ended
         if not open_ended and (self.requests is not None
@@ -384,7 +357,9 @@ class RunRequest:
         """
         wl = self.resolve_workload()
         if self.config is not None:
-            config = self.config
+            # Observers and faults below go on a copy: a run never
+            # rewrites the caller's config for the runs after it.
+            config = replace(self.config)
             heap = config.heap_words
         else:
             heap = (self.heap_words if self.heap_words is not None
@@ -434,12 +409,10 @@ def request_to_dict(request: RunRequest) -> Dict:
     if request.config is not None:
         raise ValueError("a RunRequest with a prebuilt config cannot be "
                          "serialized; pass system/heap_words instead")
-    if not isinstance(request.workload, (str, WorkloadSpec)):
+    if not isinstance(request.workload, str):
         raise ValueError("only named workloads serialize; got a "
                          f"{type(request.workload).__name__} instance")
     data = {name: getattr(request, name) for name in _REQUEST_FIELDS}
-    if isinstance(request.workload, WorkloadSpec):
-        data["workload"] = request.workload.to_dict()
     data["faults"] = (request.faults.to_dict()
                       if request.faults is not None else None)
     return data
@@ -448,8 +421,6 @@ def request_to_dict(request: RunRequest) -> Dict:
 def request_from_dict(data: Dict) -> RunRequest:
     """Rebuild a :class:`RunRequest` from :func:`request_to_dict` output."""
     kwargs = {name: data[name] for name in _REQUEST_FIELDS if name in data}
-    if isinstance(kwargs.get("workload"), dict):
-        kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
     faults = data.get("faults")
     if faults is not None:
         faults = (faults if isinstance(faults, FaultPlan)
@@ -525,7 +496,7 @@ def execute(request: RunRequest) -> RunResult:
 
 
 def run(
-    workload: Union[str, Workload, WorkloadSpec],
+    workload: Union[str, Workload],
     size: Optional[int] = None,
     system: str = "cg",
     *,
@@ -547,8 +518,7 @@ def run(
     ``size`` is the batch termination knob (default 1 for batch
     workloads); ``requests``/``max_ops`` terminate open-ended workloads
     (requests served / op budget), and ``params`` binds further
-    schema-validated workload parameters — or pass a
-    :class:`WorkloadSpec` carrying them.  ``tracer`` installs an event
+    schema-validated workload parameters.  ``tracer`` installs an event
     sink for the run; when omitted, the ambient tracer from
     :func:`repro.obs.tracing_to` (if any) is used.  ``profile`` turns on
     the perf_counter phase timers (and per-request latency attribution

@@ -2,9 +2,10 @@
 
 ``python -m repro bench`` times the (workload, system) grid end-to-end —
 real seconds, not the simulated cost model — and writes a JSON report.
-A committed report (``BENCH_7.json`` at the repo root) serves as the
-baseline: ``--check BASELINE`` recompares and fails on regression, which
-is what the CI smoke job runs.
+Every cell runs in the calling process, the way the committed baselines
+were recorded.  A committed report (``BENCH_7.json`` at the repo root)
+serves as the baseline: ``--check BASELINE`` recompares and fails on
+regression, which is what the CI smoke job runs.
 
 Two kinds of comparison, deliberately different in strictness:
 
@@ -17,20 +18,11 @@ Two kinds of comparison, deliberately different in strictness:
   (default 25%).
 
 ``--compare OLDER`` is the *trend* view across baseline generations
-(e.g. ``BENCH_7.json`` vs ``BENCH_6.json``): per-cell wall/ops-per-sec
-deltas plus the geomean, failing on a >25% geomean wall regression or
-when the two reports share no cell. Unlike ``--check``, counter drift is
-reported but does not fail — grids and defaults legitimately change
-between versions (BENCH_4 added the ``cg-table`` column and the ``bc-*``
-interpreter workloads; BENCH_5 added a closure-pin column, ``bc-loop``,
-and the ``compile_ms`` column; BENCH_6 was the SLA-only server grid;
-BENCH_7 combines both grids, adds the ``cg-compiled`` pin, flips ``cg``
-to the tiered default, and splits ``compile_ms`` into cold/steady).
-BENCH_5 through BENCH_7 were measured with the closure and compiled
-dispatch modes still pinnable; those modes are gone, ``cg-compiled`` is
-now tiered with ``promote_after=1``, and a baseline's cells for deleted
-systems (``cg-closure`` among them) show up as "not in current run"
-notes.
+(e.g. ``BENCH_7.json`` vs ``BENCH_6.json``): the same comparison, except
+that counter drift is noted, not failed, because grids and defaults
+legitimately change between generations.  Both fail when the two
+reports share no cell.  A baseline's cells for since-deleted systems
+(``cg-closure`` among them) show up as "not in current run" notes.
 
 The grid carries the dispatch comparison — ``cg-table`` (the table
 oracle) and ``cg-compiled`` (tiered, every method codegenned at its
@@ -59,9 +51,10 @@ import json
 import math
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api import RunRequest, WorkloadSpec, request_to_dict
+from ..api import RunRequest, RunResult, execute
 from ..api import run as run_workload
 
 #: Grid defaults: the timing-relevant systems (CG under the default
@@ -100,68 +93,76 @@ BENCH_VERSION = 7
 #: handlers).
 DISPATCH_FLOOR = 2.5
 
+#: A grid cell: (workload, system), or (pattern, system) on the SLA grid.
+Cell = Tuple[str, str]
+
+
+def _time_cells(cells: Sequence[Cell], run_cell: Callable[..., RunResult],
+                repeats: int) -> Dict[Cell, Tuple[float, RunResult]]:
+    """Run ``repeats`` of every cell in this process; keep each fastest.
+
+    Paired measurement: cells are grouped by their first element (a
+    workload, or an SLA arrival pattern), and repeat i of every cell in
+    a group runs back-to-back before repeat i+1, so all of a group's
+    cells sample the same machine-speed windows and cross-system ratios
+    (the dispatch ladder) don't inherit slow CPU drift.  Returns
+    ``{cell: (wall_seconds, result)}`` for each cell's fastest repeat.
+    """
+    best: Dict[Cell, Tuple[float, RunResult]] = {}
+    for _, group in groupby(cells, key=lambda cell: cell[0]):
+        group = list(group)
+        for _ in range(max(1, repeats)):
+            for cell in group:
+                started = time.perf_counter()
+                result = run_cell(*cell)
+                wall = time.perf_counter() - started
+                if cell not in best or wall < best[cell][0]:
+                    best[cell] = (wall, result)
+    return best
+
+
+def _entry(wall: float, result: RunResult, **extra) -> Dict:
+    """One report entry from a cell's fastest run, plus grid-specific
+    ``extra`` fields."""
+    return {
+        "workload": result.workload,
+        "size": result.size,
+        "system": result.system,
+        "wall_seconds": wall,
+        "ops": result.ops,
+        "ops_per_sec": result.ops / wall if wall else 0.0,
+        "alloc_search_steps": result.alloc_search_steps,
+        "compile_ms": _compile_ms(result),
+        **extra,
+    }
+
 
 def run_bench(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     systems: Sequence[str] = DEFAULT_SYSTEMS,
     size: int = 1,
     repeats: int = 3,
-    jobs: int = 1,
 ) -> Dict:
-    """Time every (workload, system) cell; wall time is min over repeats.
-
-    ``jobs > 1`` runs the grid through the worker pool
-    (:mod:`repro.harness.pool`): every (cell, repeat) becomes an uncached
-    job (bench must *time* each run, so no result cache) and the wall
-    time is measured inside the worker around the run itself.  The
-    determinism counters are bit-identical either way — only wall noise
-    differs, which ``--check``'s geomean gate absorbs.
-    """
-    if jobs > 1:
-        return _run_bench_pooled(workloads, systems, size, repeats, jobs)
-    entries: List[Dict] = []
-    for workload in workloads:
-        # Paired measurement: rep i of *every* system runs back-to-back
-        # before rep i+1, so all of a workload's cells sample the same
-        # machine-speed windows and cross-system ratios (the dispatch
-        # ladder) don't inherit slow CPU drift.  Min over repeats per
-        # cell is taken across the interleaved passes; the fastest
-        # repeat's result is the one reported.
-        best: Dict[str, Tuple[float, object]] = {}
-        for _ in range(max(1, repeats)):
-            for system in systems:
-                started = time.perf_counter()
-                result = run_workload(workload, size, system)
-                elapsed = time.perf_counter() - started
-                if system not in best or elapsed < best[system][0]:
-                    best[system] = (elapsed, result)
-        for system in systems:
-            wall, result = best[system]
-            entries.append({
-                "workload": workload,
-                "size": size,
-                "system": system,
-                "wall_seconds": wall,
-                "ops": result.ops,
-                "ops_per_sec": result.ops / wall if wall else 0.0,
-                "alloc_search_steps": result.alloc_search_steps,
-                "compile_ms_first_iter": _cold_compile_ms(
-                    workload, size, system),
-                "compile_ms": _compile_ms(result.metrics),
-            })
+    """Time every (workload, system) cell; wall time is min over repeats."""
+    cells = [(w, s) for w in workloads for s in systems]
+    best = _time_cells(cells, lambda w, s: run_workload(w, size, s), repeats)
     return {
         "version": BENCH_VERSION,
         "size": size,
         "repeats": repeats,
-        "entries": entries,
+        "entries": [
+            _entry(*best[(w, s)],
+                   compile_ms_first_iter=_cold_compile_ms(w, size, s))
+            for w, s in cells
+        ],
     }
 
 
-def _compile_ms(metrics: Dict) -> float:
+def _compile_ms(result: RunResult) -> float:
     """A run's link + codegen wall time in milliseconds: the interpreter's
     always-on ``vm.compile.ms`` (0.0 when the run had no interpreter or
     promoted nothing, as under the table mode)."""
-    return metrics.get("gauges", {}).get("vm.compile.ms", 0.0)
+    return result.metrics.get("gauges", {}).get("vm.compile.ms", 0.0)
 
 
 def _cold_compile_ms(workload: str, size: int, system: str) -> float:
@@ -175,89 +176,7 @@ def _cold_compile_ms(workload: str, size: int, system: str) -> float:
     from ..jvm.compiledcode import clear_codegen_caches
 
     clear_codegen_caches()
-    return _compile_ms(run_workload(workload, size, system).metrics)
-
-
-def _pooled_min_wall(cells: Sequence[Tuple[str, str]], request_for,
-                     repeats: int, jobs: int,
-                     label: str) -> Dict[Tuple[str, str], Tuple[float, Dict]]:
-    """Run ``repeats`` of every cell on the worker pool; keep the fastest.
-
-    Returns ``{cell: (wall_seconds, result_dict)}`` for the repeat with
-    the minimum wall, measured inside the worker around the run itself.
-    The batch is unkeyed: a result-cache hit has no wall time to report.
-    A cell whose job failed raises, naming it as ``label + cell``.
-    """
-    from .pool import get_shared_pool
-
-    owners = [cell for cell in cells for _ in range(max(1, repeats))]
-    pool_jobs = get_shared_pool(jobs).run(
-        [request_for(*cell) for cell in owners])
-    best: Dict[Tuple[str, str], Tuple[float, Dict]] = {}
-    for cell, job in zip(owners, pool_jobs):
-        if job.status != "done":
-            raise RuntimeError(f"{label}{'/'.join(cell)} failed in the "
-                               f"pool: {job.report.message}")
-        wall = job.wall_seconds or 0.0
-        if cell not in best or wall < best[cell][0]:
-            best[cell] = (wall, job.result_dict)
-    return best
-
-
-def _run_bench_pooled(workloads: Sequence[str], systems: Sequence[str],
-                      size: int, repeats: int, jobs: int) -> Dict:
-    cells = [(w, s) for w in workloads for s in systems]
-    best = _pooled_min_wall(
-        cells,
-        lambda workload, system: {"workload": workload, "size": size,
-                                  "system": system},
-        repeats, jobs, "bench cell ",
-    )
-    entries: List[Dict] = []
-    for workload, system in cells:
-        wall, result = best[(workload, system)]
-        entries.append({
-            "workload": workload,
-            "size": size,
-            "system": system,
-            "wall_seconds": wall,
-            "ops": result["ops"],
-            "ops_per_sec": result["ops"] / wall if wall else 0.0,
-            "alloc_search_steps": result["alloc_search_steps"],
-            # Cold runs in-process: a pool worker's codegen cache is
-            # whatever its earlier jobs left.
-            "compile_ms_first_iter": _cold_compile_ms(workload, size,
-                                                      system),
-            "compile_ms": _compile_ms(result["metrics"]),
-        })
-    return {
-        "version": BENCH_VERSION,
-        "size": size,
-        "repeats": repeats,
-        "entries": entries,
-    }
-
-
-def _sla_entry(pattern: str, system: str, wall: float,
-               result_dict: Dict) -> Dict:
-    """One SLA report entry from a run's serialized result."""
-    cg_stats = result_dict.get("cg_stats") or {}
-    ops = result_dict["ops"]
-    params = dict(result_dict.get("params") or {})
-    params.setdefault("pattern", pattern)
-    return {
-        "workload": "server",
-        "size": result_dict.get("size", 0),
-        "system": system,
-        "params": params,
-        "wall_seconds": wall,
-        "ops": ops,
-        "ops_per_sec": ops / wall if wall else 0.0,
-        "alloc_search_steps": result_dict["alloc_search_steps"],
-        "gc_cycles": (result_dict.get("gc_work") or {}).get("cycles", 0),
-        "objects_popped": cg_stats.get("objects_popped", 0),
-        "latency": result_dict.get("latency") or {},
-    }
+    return _compile_ms(run_workload(workload, size, system))
 
 
 def run_sla(
@@ -265,7 +184,6 @@ def run_sla(
     systems: Sequence[str] = SLA_SYSTEMS,
     patterns: Sequence[str] = SLA_PATTERNS,
     repeats: int = 2,
-    jobs: int = 1,
 ) -> Dict:
     """The server-workload tail-latency grid: (pattern, system) cells.
 
@@ -277,49 +195,35 @@ def run_sla(
     across repeats, systems aside, so the choice never affects the
     determinism gates.
     """
-    from ..api import result_to_dict
-
-    def _request(pattern: str, system: str) -> RunRequest:
-        return RunRequest(
-            workload=WorkloadSpec("server", {"pattern": pattern}),
-            system=system, requests=requests, profile=True,
+    def run_cell(pattern: str, system: str) -> RunResult:
+        return execute(RunRequest(
+            "server", system=system, requests=requests,
+            params={"pattern": pattern}, profile=True,
             # Every SLA sample represents a fresh-process first request:
-            # without this, in-process repeats (and warm pool workers)
-            # inherit a warm codegen cache and first_request_ms lies.
+            # without this, repeats inherit a warm codegen cache and
+            # first_request_ms lies.
             cold_start=True,
-        )
+        ))
 
     cells = [(p, s) for p in patterns for s in systems]
-    best: Dict[Tuple[str, str], Dict] = {}
-    if jobs > 1:
-        pooled = _pooled_min_wall(
-            cells,
-            lambda pattern, system: request_to_dict(_request(pattern, system)),
-            repeats, jobs, "sla cell server/",
-        )
-        best = {cell: _sla_entry(*cell, wall, result)
-                for cell, (wall, result) in pooled.items()}
-    else:
-        for pattern in patterns:
-            # Paired interleaved measurement, as in run_bench.
-            for _ in range(max(1, repeats)):
-                for system in systems:
-                    from ..api import execute
-
-                    started = time.perf_counter()
-                    result = execute(_request(pattern, system))
-                    wall = time.perf_counter() - started
-                    cell = best.get((pattern, system))
-                    if cell is None or wall < cell["wall_seconds"]:
-                        best[(pattern, system)] = _sla_entry(
-                            pattern, system, wall, result_to_dict(result)
-                        )
+    best = _time_cells(cells, run_cell, repeats)
+    entries: List[Dict] = []
+    for cell in cells:
+        wall, result = best[cell]
+        entries.append(_entry(
+            wall, result,
+            params=dict(result.params),
+            gc_cycles=result.gc_work.cycles,
+            objects_popped=(result.cg_stats.objects_popped
+                            if result.cg_stats is not None else 0),
+            latency=result.latency or {},
+        ))
     return {
         "version": BENCH_VERSION,
         "sla": True,
         "requests": requests,
         "repeats": repeats,
-        "entries": [best[cell] for cell in cells],
+        "entries": entries,
     }
 
 
@@ -472,67 +376,93 @@ def _keyed(report: Dict) -> Dict[Tuple[str, int, str, str], Dict]:
     }
 
 
+#: Determinism counters: exact equality is the gate, since runs are
+#: seeded.  ``gc_cycles``/``objects_popped`` exist only on SLA entries
+#: and are compared when both sides carry them.
+COUNTERS = ("ops", "alloc_search_steps", "gc_cycles", "objects_popped")
+
+
+def _geomean(values) -> float:
+    values = list(values)
+    return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
 def compare(current: Dict, baseline: Dict,
             tolerance: float = 0.25,
+            trend: bool = False,
             wall_gate: bool = True) -> Tuple[bool, List[str]]:
-    """Compare a fresh report against the committed baseline.
+    """Compare a fresh report against a baseline report.
 
-    Returns ``(ok, report_lines)``.  Fails when any shared cell's
-    determinism counters drift, or when the geometric-mean wall-clock
-    ratio exceeds ``1 + tolerance``.  Cells present in only one report
-    are noted but do not fail the check (the grid may legitimately grow).
+    Returns ``(ok, report_lines)``: per shared cell the wall and
+    ops-per-sec ratios, then the geometric-mean wall ratio, which fails
+    beyond ``1 + tolerance``.  The check also fails when the two reports
+    share no cell, since a comparison with nothing to compare could
+    never fail.  Cells present in only one report are noted (the grid
+    may legitimately grow or shrink).
 
-    ``wall_gate=False`` demotes the geomean verdict to advisory: only
-    counter equality can fail the check.  That is the SLA-grid mode —
-    its cells are milliseconds long, so pool dispatch overhead and
-    worker interference swamp the wall ratio, while the counters stay
-    exactly comparable across any executor.
+    By default (``--check``, the same-generation gate) any shared cell's
+    determinism-counter drift fails.  ``trend=True`` (``--compare``, the
+    cross-generation view) only notes it: between baseline generations
+    the grid and the default configuration legitimately change.
+    ``wall_gate=False`` demotes the geomean verdict to advisory, leaving
+    counter equality as the only gate — the ``--sla --check`` mode,
+    whose cells are milliseconds long.
     """
-    lines: List[str] = []
-    ok = True
+    label = "trend" if trend else "check"
     cur, base = _keyed(current), _keyed(baseline)
-    shared = [k for k in base if k in cur]
-    for key in base:
-        if key not in cur:
-            lines.append(f"note: baseline cell {key} not in current run")
-    for key in cur:
-        if key not in base:
-            lines.append(f"note: new cell {key} has no baseline")
-
+    shared = sorted(k for k in base if k in cur)
+    new = sorted(k for k in cur if k not in base)
+    gone = sorted(k for k in base if k not in cur)
+    lines = [
+        f"{label}: v{current.get('version', '?')} vs "
+        f"v{baseline.get('version', '?')} — {len(shared)} shared cells, "
+        f"{len(new)} new, {len(gone)} removed"
+    ]
+    ok = bool(shared)
+    if not shared:
+        lines.append("FAIL: no cell shared with the baseline")
     ratios = []
     for key in shared:
         c, b = cur[key], base[key]
-        # gc_cycles/objects_popped exist only on SLA entries; when both
-        # sides carry them they gate exactly like the core counters.
-        for counter in ("ops", "alloc_search_steps", "gc_cycles",
-                        "objects_popped"):
-            if counter not in c or counter not in b:
+        cell = f"{key[0]}/{key[2]}"
+        for counter in COUNTERS:
+            if counter not in c or counter not in b or c[counter] == b[counter]:
                 continue
-            if c[counter] != b[counter]:
+            if trend:
+                lines.append(f"note: {cell} {counter} changed "
+                             f"{b[counter]} -> {c[counter]}")
+            else:
                 ok = False
-                lines.append(
-                    f"FAIL {key}: {counter} drifted "
-                    f"{b[counter]} -> {c[counter]} (determinism break)"
-                )
+                lines.append(f"FAIL {cell}: {counter} changed "
+                             f"{b[counter]} -> {c[counter]} "
+                             f"(determinism break)")
         if b["wall_seconds"] > 0 and c["wall_seconds"] > 0:
             ratio = c["wall_seconds"] / b["wall_seconds"]
             ratios.append(ratio)
+            ops_note = (
+                f", {c['ops_per_sec'] / b['ops_per_sec']:.2f}x ops/s"
+                if b.get("ops_per_sec") and c.get("ops_per_sec") else "")
             lines.append(
-                f"{key[0]}/{key[2]}: {b['wall_seconds']:.4f}s -> "
-                f"{c['wall_seconds']:.4f}s ({ratio:.2f}x)"
+                f"{cell}: wall {b['wall_seconds']:.4f}s -> "
+                f"{c['wall_seconds']:.4f}s ({ratio:.2f}x{ops_note})"
             )
+    for key in new:
+        lines.append(f"note: new cell {key[0]}/{key[2]} (no baseline)")
+    for key in gone:
+        lines.append(f"note: removed cell {key[0]}/{key[2]} "
+                     f"(not in current run)")
     if ratios:
-        geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+        geomean = _geomean(ratios)
         limit = 1.0 + tolerance
         if not wall_gate:
             lines.append(
-                f"wall-clock geomean ratio: {geomean:.3f} (advisory; "
+                f"{label} wall-clock geomean: {geomean:.3f} (advisory; "
                 f"counters gate this check)"
             )
         else:
             verdict = "ok" if geomean <= limit else "REGRESSION"
             lines.append(
-                f"wall-clock geomean ratio: {geomean:.3f} "
+                f"{label} wall-clock geomean: {geomean:.3f} "
                 f"(limit {limit:.2f}) - {verdict}"
             )
             if geomean > limit:
@@ -542,128 +472,17 @@ def compare(current: Dict, baseline: Dict,
     return ok, lines
 
 
-def trend(current: Dict, baseline: Dict,
-          tolerance: float = 0.25) -> Tuple[bool, List[str]]:
-    """Cross-generation trend report (e.g. BENCH_4 vs BENCH_3).
-
-    Prints per-workload×system wall and ops-per-sec deltas plus the
-    geomean; fails when the wall-clock geomean regresses beyond
-    ``tolerance``, and when the two reports share no cell (a trend with
-    nothing to compare could never fail).  Determinism-counter drift is
-    *noted*, not failed — between baseline generations the grid and the
-    default configuration legitimately change (use :func:`compare` for
-    the strict same-version gate).
-    """
-    lines: List[str] = []
-    ok = True
-    cur, base = _keyed(current), _keyed(baseline)
-    shared = [k for k in base if k in cur]
-    new = [k for k in cur if k not in base]
-    gone = [k for k in base if k not in cur]
-    lines.append(
-        f"trend: v{current.get('version', '?')} vs "
-        f"v{baseline.get('version', '?')} — {len(shared)} shared cells, "
-        f"{len(new)} new, {len(gone)} removed"
-    )
-    if not shared:
-        ok = False
-        lines.append("FAIL: no cell shared with the trend baseline")
-    ratios = []
-    for key in sorted(shared):
-        c, b = cur[key], base[key]
-        wall_ratio = (c["wall_seconds"] / b["wall_seconds"]
-                      if b["wall_seconds"] > 0 and c["wall_seconds"] > 0
-                      else None)
-        ops_ratio = (c["ops_per_sec"] / b["ops_per_sec"]
-                     if b.get("ops_per_sec") and c.get("ops_per_sec")
-                     else None)
-        cell = f"{key[0]}/{key[2]}"
-        if wall_ratio is not None:
-            ratios.append(wall_ratio)
-            ops_note = (f", {ops_ratio:.2f}x ops/s" if ops_ratio is not None
-                        else "")
-            lines.append(
-                f"{cell}: wall {b['wall_seconds']:.4f}s -> "
-                f"{c['wall_seconds']:.4f}s ({wall_ratio:.2f}x{ops_note})"
-            )
-        for counter in ("ops", "alloc_search_steps"):
-            if c.get(counter) != b.get(counter):
-                lines.append(
-                    f"note: {cell} {counter} changed "
-                    f"{b.get(counter)} -> {c.get(counter)}"
-                )
-    for key in sorted(new):
-        lines.append(f"note: new cell {key[0]}/{key[2]} (no trend baseline)")
-    for key in sorted(gone):
-        lines.append(f"note: removed cell {key[0]}/{key[2]}")
-    if ratios:
-        geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-        limit = 1.0 + tolerance
-        verdict = "ok" if geomean <= limit else "REGRESSION"
-        lines.append(
-            f"trend wall-clock geomean: {geomean:.3f} "
-            f"(limit {limit:.2f}) - {verdict}"
-        )
-        if geomean > limit:
-            ok = False
-    elif shared:
-        lines.append("no timed cells shared with the trend baseline")
-    return ok, lines
-
-
-def dispatch_speedup(report: Dict) -> Tuple[Optional[float], List[str]]:
-    """Dispatch ops/sec ratios from a report's own cells.
+def dispatch_ratios(report: Dict) -> Dict[str, float]:
+    """Per-workload cg/table ops-per-sec ratios from a report's own cells.
 
     Pairs each ``cg`` cell (tiered dispatch, the default — steady state
-    is generated code) with its ``cg-table`` twin and reports the
-    ratios; the headline geomean (the return value) is cg/table over the
-    interpreter-driven ``bc-*`` workloads only — the Mutator-driven
-    workloads never enter the dispatch loop, so their ratio is pure
-    noise.  Returns ``(geomean_or_None, lines)``.
+    is generated code) with its ``cg-table`` twin, in cell order.
     """
-    lines: List[str] = []
-    keyed = _keyed(report)
-    bc_ratios = []
-    for (workload, size, system, params) in sorted(keyed):
-        if system != "cg":
-            continue
-        twin = keyed.get((workload, size, "cg-table", params))
-        if twin is None:
-            continue
-        compiled = keyed[(workload, size, system, params)].get(
-            "ops_per_sec") or 0.0
-        table = twin.get("ops_per_sec") or 0.0
-        if not compiled or not table:
-            continue
-        ratio = compiled / table
-        marker = ""
-        if workload.startswith("bc-"):
-            bc_ratios.append(ratio)
-            marker = "  [dispatch-bound]"
-        lines.append(
-            f"{workload}: cg {compiled:,.0f} ops/s vs "
-            f"table {table:,.0f} ops/s = {ratio:.2f}x{marker}"
-        )
-    geomean = None
-    if bc_ratios:
-        geomean = math.exp(
-            sum(math.log(r) for r in bc_ratios) / len(bc_ratios)
-        )
-        lines.append(
-            f"cg/table geomean over bc-* workloads: {geomean:.2f}x"
-        )
-    return geomean, lines
-
-
-def _bc_dispatch_ratios(report: Dict) -> Dict[str, float]:
-    """Per-workload cg/table ops-per-sec ratios over the ``bc-*`` cells."""
     keyed = _keyed(report)
     ratios: Dict[str, float] = {}
-    for (workload, size, system, params), cell in keyed.items():
-        if system != "cg" or not workload.startswith("bc-"):
-            continue
+    for (workload, size, system, params), cell in sorted(keyed.items()):
         twin = keyed.get((workload, size, "cg-table", params))
-        if twin is None:
+        if system != "cg" or twin is None:
             continue
         cg = cell.get("ops_per_sec") or 0.0
         table = twin.get("ops_per_sec") or 0.0
@@ -672,9 +491,27 @@ def _bc_dispatch_ratios(report: Dict) -> Dict[str, float]:
     return ratios
 
 
-def _geomean(values) -> float:
-    values = list(values)
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+def _bc(ratios: Dict[str, float]) -> Dict[str, float]:
+    """The interpreter-driven ``bc-*`` ratios: the Mutator-driven
+    workloads never enter the dispatch loop, so their ratio is noise."""
+    return {w: r for w, r in ratios.items() if w.startswith("bc-")}
+
+
+def dispatch_speedup(report: Dict) -> Tuple[Optional[float], List[str]]:
+    """The cg/table ratio of every workload, and the headline geomean
+    over the ``bc-*`` workloads only (None without one).  Returns
+    ``(geomean_or_None, lines)``."""
+    ratios = dispatch_ratios(report)
+    lines = [
+        f"{workload}: cg/table {ratio:.2f}x"
+        + ("  [dispatch-bound]" if workload.startswith("bc-") else "")
+        for workload, ratio in ratios.items()
+    ]
+    bc = _bc(ratios)
+    geomean = _geomean(bc.values()) if bc else None
+    if geomean is not None:
+        lines.append(f"cg/table geomean over bc-* workloads: {geomean:.2f}x")
+    return geomean, lines
 
 
 def check_dispatch_floor(current: Dict, baseline: Dict,
@@ -698,8 +535,8 @@ def check_dispatch_floor(current: Dict, baseline: Dict,
     """
     lines: List[str] = []
     ok = True
-    base = _bc_dispatch_ratios(baseline)
-    live = _bc_dispatch_ratios(current)
+    base = _bc(dispatch_ratios(baseline))
+    live = _bc(dispatch_ratios(current))
     if base:
         base_geomean = _geomean(base.values())
         verdict = "ok" if base_geomean >= DISPATCH_FLOOR else "FAIL"
@@ -781,21 +618,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="runs per cell; wall time reported is the minimum (default 3)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run the grid through an N-worker pool (default 1: in-process)",
-    )
-    parser.add_argument(
         "--out", metavar="PATH", help="write the JSON report to PATH"
     )
     parser.add_argument(
         "--check", metavar="BASELINE",
-        help="compare against a baseline report; exit 1 on regression",
+        help="compare against a baseline report; exit 1 on regression"
+             " or when no cell is shared",
     )
     parser.add_argument(
         "--compare", metavar="BASELINE",
         help="trend report vs an older baseline generation (wall/ops-per-sec"
-             " deltas + geomean); exit 1 on >tolerance geomean wall"
-             " regression or when no cell is shared",
+             " deltas + geomean; counter drift is only noted); exit 1 on"
+             " >tolerance geomean wall regression or when no cell is shared",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.25,
@@ -811,8 +645,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     systems = tuple(args.systems) if args.systems else DEFAULT_SYSTEMS
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     if args.warmup_curve:
         curve_workloads = (tuple(args.workloads) if args.workloads
                            else ("bc-loop", "server"))
@@ -825,12 +657,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.sla:
         sla_systems = tuple(args.systems) if args.systems else SLA_SYSTEMS
         report = run_sla(requests=args.requests, systems=sla_systems,
-                         repeats=args.repeats, jobs=args.jobs)
+                         repeats=args.repeats)
         for line in sla_lines(report):
             print(line)
     else:
         report = run_bench(workloads, systems, size=args.size,
-                           repeats=args.repeats, jobs=args.jobs)
+                           repeats=args.repeats)
         for entry in report["entries"]:
             print(
                 f"{entry['workload']:>10s} {entry['system']:<10s} "
@@ -848,41 +680,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"[bench] report -> {args.out}", file=sys.stderr)
 
     failed = False
-    if args.compare:
+    for path, trend in ((args.compare, True), (args.check, False)):
+        if not path:
+            continue
         try:
-            older = load_bench(args.compare)
+            baseline = load_bench(path)
         except (OSError, ValueError) as exc:
-            print(f"cannot load trend baseline: {exc}", file=sys.stderr)
+            print(f"cannot load baseline {path}: {exc}", file=sys.stderr)
             return 2
-        ok, lines = trend(report, older, tolerance=args.tolerance)
+        # SLA cells are milliseconds long, so their wall ratios are
+        # noise: --sla --check gates on counter equality only.
+        ok, lines = compare(report, baseline, tolerance=args.tolerance,
+                            trend=trend, wall_gate=trend or not args.sla)
+        if not trend:
+            floor_ok, floor_lines = check_dispatch_floor(
+                report, baseline, tolerance=args.tolerance)
+            ok, lines = ok and floor_ok, lines + floor_lines
         for line in lines:
             print(line)
-        if not ok:
-            print("[bench] trend check FAILED", file=sys.stderr)
-            failed = True
-        else:
-            print("[bench] trend check passed", file=sys.stderr)
-
-    if args.check:
-        try:
-            baseline = load_bench(args.check)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        # SLA cells are milliseconds long: wall ratios across executors
-        # are pure noise there, so the gate is counter equality only.
-        ok, lines = compare(report, baseline, tolerance=args.tolerance,
-                            wall_gate=not args.sla)
-        floor_ok, floor_lines = check_dispatch_floor(
-            report, baseline, tolerance=args.tolerance
-        )
-        for line in lines + floor_lines:
-            print(line)
-        if not (ok and floor_ok):
-            print("[bench] regression check FAILED", file=sys.stderr)
-            failed = True
-        else:
-            print("[bench] regression check passed", file=sys.stderr)
+        name = "trend" if trend else "regression"
+        print(f"[bench] {name} check {'passed' if ok else 'FAILED'}",
+              file=sys.stderr)
+        failed = failed or not ok
     return 1 if failed else 0
 
 

@@ -1,11 +1,11 @@
 """Worker pool: run a batch of run requests on warm worker processes.
 
-The figure prefetch, ``bench --jobs N`` and :func:`repro.api.run_many`
-each hand the pool one batch of :class:`~repro.api.RunRequest`-shaped
-dicts and wait for all of it.  :meth:`WorkerPool.run` is that call: it
-drives the batch to completion on the caller's thread and returns one
-:class:`PoolJob` per request, in request order.  The pool starts no
-thread; its workers are long-lived processes, reused by every batch.
+The figure prefetch and :func:`repro.api.run_many` each hand the pool
+one batch of :class:`~repro.api.RunRequest`-shaped dicts and wait for
+all of it.  :meth:`WorkerPool.run` is that call: it drives the batch to
+completion on the caller's thread and returns one :class:`PoolJob` per
+request, in request order.  The pool starts no thread; its workers are
+long-lived processes, reused by every batch.
 
 Scheduling
     One FIFO queue per batch.  Each pass of the loop hands the oldest
@@ -60,7 +60,8 @@ from ..faults import FaultPlan, FaultReport
 #: results.  v2: keys grew the RuntimeConfig fingerprint (this is the
 #: same versioning — and the same on-disk files — as the figure cache
 #: this class was promoted from).  v3: keys grew the workload-params
-#: axis (WorkloadSpec) and results the ``params``/``latency`` sections.
+#: axis (``RunRequest.params``) and results the ``params``/``latency``
+#: sections.
 #: v4: the tiered-dispatch default flip (RuntimeConfig fingerprints grew
 #: ``promote_after``/``promote_backedge_weight``) plus the request-level
 #: ``cold_start`` wire field and the ``compile_ms`` latency percentiles.
@@ -510,7 +511,7 @@ class WorkerPool:
 
 
 # ---------------------------------------------------------------------------
-# The shared pool (one per process, reused across prefetch/bench/api calls)
+# The shared pool (one per process, reused across prefetch and api calls)
 # ---------------------------------------------------------------------------
 
 _SHARED: Optional[WorkerPool] = None

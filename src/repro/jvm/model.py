@@ -56,9 +56,6 @@ class JClass:
     def __repr__(self) -> str:
         return f"<JClass {self.name}>"
 
-    def has_field(self, name: str) -> bool:
-        return name in self.fields
-
     def add_method(self, method: "JMethod") -> None:
         self.methods[method.name] = method
         method.owner = self

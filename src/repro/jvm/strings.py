@@ -11,7 +11,7 @@ root for the tracing collectors.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Dict, Iterator, Optional, TYPE_CHECKING
 
 from .errors import VMError
 from .heap import Handle
@@ -59,6 +59,3 @@ class InternTable:
         for handle in self._table.values():
             if not handle.freed:
                 yield handle
-
-    def live_entries(self) -> List[Handle]:
-        return [h for h in self._table.values() if not h.freed]

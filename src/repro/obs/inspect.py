@@ -137,6 +137,12 @@ def _top_counters(snapshot: Dict, n: int = 6) -> List[Tuple[str, int]]:
     return picked[:n]
 
 
+def _ms(value: Optional[float]) -> str:
+    """A latency in milliseconds, or ``-`` for a percentile too far in
+    the tail for the sample count to resolve (reported as None)."""
+    return f"{value:.3f}ms" if value is not None else "-"
+
+
 def render_snapshot(snapshot: Dict, path: Optional[Path] = None) -> str:
     """One run's latest state as terminal text."""
     heap = snapshot.get("heap") or {}
@@ -193,11 +199,11 @@ def render_snapshot(snapshot: Dict, path: Optional[Path] = None) -> str:
         pause_ms = requests.get("pause_ms") or {}
         lines.append(
             f"  requests: {requests.get('requests', 0)} served"
-            f" — p50 {req_ms.get('p50_ms', 0.0):.3f}ms"
-            f" p99 {req_ms.get('p99_ms', 0.0):.3f}ms"
-            f" p999 {req_ms.get('p999_ms', 0.0):.3f}ms"
-            f" max {req_ms.get('max_ms', 0.0):.3f}ms"
-            f" · pause p99 {pause_ms.get('p99_ms', 0.0):.3f}ms"
+            f" — p50 {_ms(req_ms.get('p50_ms'))}"
+            f" p99 {_ms(req_ms.get('p99_ms'))}"
+            f" p999 {_ms(req_ms.get('p999_ms'))}"
+            f" max {_ms(req_ms.get('max_ms'))}"
+            f" · pause p99 {_ms(pause_ms.get('p99_ms'))}"
             f" ({requests.get('pause_share_pct', 0.0):.1f}% of request time)"
         )
     top = _top_counters(snapshot)

@@ -57,17 +57,23 @@ PAUSE_BUCKETS_MS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0,
                     50.0, 100.0)
 
 
-def _nearest_rank(window: List[float]) -> Dict[str, float]:
-    """p50/p99/p999/max (milliseconds) of an already-sorted sample list."""
+def _nearest_rank(window: List[float]) -> Dict[str, Optional[float]]:
+    """p50/p99/p999/max (milliseconds) of an already-sorted sample list.
+
+    A tail percentile whose rank lands on the last sample only restates
+    the max — p999 from 500 samples or fewer, p99 from 50 or fewer — so
+    it is reported as None rather than as a resolved percentile.
+    """
     n = len(window)
 
-    def rank(q: float) -> float:
-        return window[min(n - 1, max(0, int(q * n + 0.5) - 1))]
+    def tail(q: float) -> Optional[float]:
+        index = int(q * n + 0.5) - 1
+        return window[index] * 1000.0 if index < n - 1 else None
 
     return {
-        "p50_ms": rank(0.50) * 1000.0,
-        "p99_ms": rank(0.99) * 1000.0,
-        "p999_ms": rank(0.999) * 1000.0,
+        "p50_ms": window[int(0.5 * n + 0.5) - 1] * 1000.0,
+        "p99_ms": tail(0.99),
+        "p999_ms": tail(0.999),
         "max_ms": window[-1] * 1000.0,
     }
 

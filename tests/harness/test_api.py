@@ -4,7 +4,7 @@ import pytest
 
 import repro
 from repro import api
-from repro.api import RunRequest, RunResult, WorkloadSpec, config_for, run
+from repro.api import RunRequest, RunResult, config_for, run
 from repro.faults import FaultPlan
 from repro.harness import figures as figures_mod
 from repro.jvm.runtime import RuntimeConfig
@@ -29,6 +29,22 @@ class TestSingleEntrypoint:
         baseline = run("db", 1, "cg", heap_words=1 << 20)
         assert result.ops == baseline.ops
         assert result.alloc_search_steps == baseline.alloc_search_steps
+
+    def test_run_leaves_the_callers_config_untouched(self):
+        from repro.obs import tracing_to
+        from repro.obs.events import Tracer
+
+        config = config_for("cg", 1 << 20)
+        run("db", 1, "cg", config=config, profile=True)
+        assert config.profile is False
+        tracer = Tracer()
+        with tracing_to(tracer):
+            run("db", 1, "cg", config=config)
+        assert config.tracer is None
+        emitted = tracer.emitted
+        assert emitted > 0
+        run("db", 1, "cg", config=config)
+        assert tracer.emitted == emitted
 
     def test_faults_threaded_through_run(self):
         plan = FaultPlan.parse("heap.alloc:oom:after=1000000000")
@@ -75,34 +91,20 @@ class TestRequestSerialization:
 
 
 class TestWorkloadSpec:
+    """A named workload plus its ``params``: a parameterized run's spec."""
+
     def test_spec_round_trips_through_wire_form(self):
-        original = RunRequest(
-            WorkloadSpec("server", {"pattern": "bursty"}),
-            system="cg", requests=25, profile=True,
-        )
+        original = RunRequest("server", system="cg", requests=25,
+                              params={"pattern": "bursty"}, profile=True)
         data = api.request_to_dict(original)
-        assert data["workload"] == {"name": "server",
-                                    "params": {"pattern": "bursty"}}
+        assert data["workload"] == "server"
+        assert data["params"] == {"pattern": "bursty"}
         restored = api.request_from_dict(data)
-        assert isinstance(restored.workload, WorkloadSpec)
-        assert restored.workload == original.workload
+        assert restored.workload == "server"
+        assert restored.params == original.params
         assert restored.requests == 25
-
-    def test_spec_and_equivalent_params_run_identically(self):
-        via_spec = api.execute(RunRequest(
-            WorkloadSpec("server", {"pattern": "bursty"}),
-            system="cg", requests=50))
-        via_params = api.execute(RunRequest(
-            "server", system="cg", requests=50,
-            params={"pattern": "bursty"}))
-        assert via_spec.ops == via_params.ops
-        assert via_spec.cg_stats == via_params.cg_stats
-        assert via_spec.params == via_params.params
-
-    def test_request_params_override_spec_params(self):
-        request = RunRequest(WorkloadSpec("server", {"spin": 10}),
-                             requests=5, params={"spin": 20})
-        assert request.resolve_workload().params["spin"] == 20
+        assert (api.execute(restored).params
+                == api.execute(original).params)
 
     def test_result_carries_resolved_params(self):
         result = api.execute(RunRequest("server", system="cg", requests=25))

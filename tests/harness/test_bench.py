@@ -54,6 +54,31 @@ class TestRunBench:
         assert table["compile_ms_first_iter"] >= 0.0
 
 
+class TestRunSla:
+    def test_cells_match_a_direct_run_of_the_same_request(self):
+        from repro.api import RunRequest, execute
+
+        report = bench.run_sla(requests=20, systems=("cg", "jdk"),
+                               patterns=("bursty",), repeats=1)
+        assert report["sla"] is True
+        assert report["requests"] == 20
+        entries = report["entries"]
+        assert [e["system"] for e in entries] == ["cg", "jdk"]
+        for entry in entries:
+            assert entry["workload"] == "server"
+            assert entry["params"]["pattern"] == "bursty"
+            assert entry["latency"]["requests"] == 20
+            direct = execute(RunRequest(
+                "server", system=entry["system"], requests=20,
+                params={"pattern": "bursty"}, profile=True,
+                cold_start=True))
+            assert entry["ops"] == direct.ops
+            assert entry["gc_cycles"] == direct.gc_work.cycles
+            popped = (direct.cg_stats.objects_popped
+                      if direct.cg_stats is not None else 0)
+            assert entry["objects_popped"] == popped
+
+
 class TestWarmupCurve:
     def test_report_shape(self):
         report = bench.run_warmup_curve(["bc-loop"], ["cg", "cg-table"],
@@ -130,6 +155,15 @@ class TestMain:
         assert bench.main(["--workloads", "db", "--systems", "cg",
                            "--repeats", "1", "--check", out]) == 1
 
+    def test_check_against_disjoint_baseline_fails(self, tmp_path):
+        # A --check that shares no cell with its baseline compares
+        # nothing, so it must not read as a pass.
+        out = str(tmp_path / "other.json")
+        bench.write_bench(out, tiny_report(workload="jess"))
+        assert bench.main(["--workloads", "db", "--systems", "cg",
+                           "--repeats", "1", "--check", out,
+                           "--tolerance", "10.0"]) == 1
+
     def test_missing_baseline_exit_code(self, tmp_path):
         assert bench.main(["--workloads", "db", "--systems", "cg",
                            "--repeats", "1",
@@ -151,20 +185,22 @@ def two_cell_report(wall_cg=0.05, wall_table=0.10, **meta):
 
 class TestTrend:
     def test_identical_generations_pass(self):
-        ok, lines = bench.trend(tiny_report(), tiny_report())
+        ok, lines = bench.compare(tiny_report(), tiny_report(),
+                                   trend=True)
         assert ok
         assert any("geomean" in line for line in lines)
 
     def test_counter_drift_noted_not_failed(self):
         # Between baseline generations the default config legitimately
         # changes (e.g. a new dispatch tier), so ops drift is a note.
-        ok, lines = bench.trend(tiny_report(ops=1234), tiny_report())
+        ok, lines = bench.compare(tiny_report(ops=1234), tiny_report(),
+                                   trend=True)
         assert ok
         assert any("ops changed" in line for line in lines)
 
     def test_geomean_wall_regression_fails(self):
-        ok, lines = bench.trend(tiny_report(wall_seconds=0.08), tiny_report(),
-                                tolerance=0.25)
+        ok, lines = bench.compare(tiny_report(wall_seconds=0.08),
+                                  tiny_report(), tolerance=0.25, trend=True)
         assert not ok
         assert any("REGRESSION" in line for line in lines)
 
@@ -175,7 +211,7 @@ class TestTrend:
         baseline = tiny_report()
         baseline["entries"].append(dict(baseline["entries"][0],
                                         system="jdk"))
-        ok, lines = bench.trend(current, baseline)
+        ok, lines = bench.compare(current, baseline, trend=True)
         assert ok
         assert any("new cell bc-arith/cg" in line for line in lines)
         assert any("removed cell jess/jdk" in line for line in lines)
@@ -183,7 +219,8 @@ class TestTrend:
     def test_no_shared_cell_fails(self):
         # A trend against a baseline with a disjoint grid compares
         # nothing, so it must not read as a pass.
-        ok, lines = bench.trend(tiny_report(), tiny_report(workload="db"))
+        ok, lines = bench.compare(tiny_report(), tiny_report(workload="db"),
+                                  trend=True)
         assert not ok
         assert any("0 shared cells" in line for line in lines)
         assert any("no cell shared" in line for line in lines)

@@ -20,9 +20,19 @@ from repro.obs.profile import (
 
 class TestNearestRank:
     def test_single_sample_is_every_percentile(self):
+        # One sample resolves no tail: p99 and p999 would restate the max.
         dist = _nearest_rank([0.004])
-        assert dist == {"p50_ms": 4.0, "p99_ms": 4.0,
-                        "p999_ms": 4.0, "max_ms": 4.0}
+        assert dist == {"p50_ms": 4.0, "p99_ms": None,
+                        "p999_ms": None, "max_ms": 4.0}
+
+    def test_tail_that_only_restates_the_max_is_none(self):
+        # 400 requests, the SLA grid's cell: rank 396 resolves p99, but
+        # p999's rank is the 400th sample, the max itself.
+        window = [(i + 1) / 1000.0 for i in range(400)]
+        dist = _nearest_rank(window)
+        assert dist["p99_ms"] == pytest.approx(396.0)
+        assert dist["p999_ms"] is None
+        assert dist["max_ms"] == pytest.approx(400.0)
 
     def test_percentiles_of_uniform_ramp(self):
         window = sorted((i + 1) / 1000.0 for i in range(1000))
@@ -122,6 +132,8 @@ class TestSurface:
         rendered = render_snapshot(snapshot)
         assert "requests: 40 served" in rendered
         assert "pause p99" in rendered
+        # 40 requests resolve no p99 or p999: printed "-", not a number.
+        assert "p99 - p999 -" in rendered
 
     def test_unprofiled_snapshot_requests_is_none(self, tmp_path):
         execute(RunRequest("server", system="cg", requests=40,

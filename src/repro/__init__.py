@@ -16,8 +16,8 @@ Public API tour:
   for executing one measured workload run (see :mod:`repro.api`); every
   harness surface (figures, bench, CLI) routes through it.
 * :class:`repro.FaultPlan` — deterministic fault injection: arm seeded
-  faults at the allocator, interpreter, native-call, or harness-worker
-  boundary and watch the recovery cascade (see :mod:`repro.faults`).
+  faults at the allocator, interpreter, or native-call boundary and
+  watch the recovery cascade (see :mod:`repro.faults`).
 * :mod:`repro.harness` — run configurations and regenerate every table and
   figure of the paper's evaluation.
 

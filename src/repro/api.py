@@ -1,12 +1,11 @@
 """The stable programmatic entry surface: one way to run one cell.
 
-Historically the figure runner, the parallel prefetch worker, and the
-bench harness each built their Runtime+Collector with a near-copy of the
-same code.  This module is now the single construction path:
+Historically the figure runner and the bench harness each built their
+Runtime+Collector with a near-copy of the same code.  This module is now
+the single construction path:
 
 * :func:`run` — ``run(workload, size, system, ...) -> RunResult`` — is
-  what the runner shim, the figure cache, the bench harness, and the CLI
-  all call.
+  what the figure cache, the bench harness, and the CLI all call.
 * :class:`RunRequest` is the explicit form of the same call; :func:`run`
   is sugar over ``execute(RunRequest(...))``.
 * :func:`config_for` maps a named *system* (the paper's comparison
@@ -39,7 +38,6 @@ A *system* is one of the named configurations the paper compares:
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Optional, Union
 
@@ -181,18 +179,16 @@ class RunResult:
         return self.cost.total_ms
 
 
-#: CGStats Counter fields whose keys are ints (JSON stringifies dict keys,
-#: so deserialization must convert them back).
-_INT_KEYED_COUNTERS = ("block_size_hist", "age_hist")
-_STR_KEYED_COUNTERS = ("static_pins", "objects_pinned")
+#: CGStats fields that are Counters.
+_COUNTER_FIELDS = ("block_size_hist", "age_hist", "static_pins",
+                   "objects_pinned")
 
 
 def result_to_dict(result: RunResult) -> Dict:
     """Flatten a :class:`RunResult` to JSON-serializable primitives.
 
-    Used by the worker processes of the parallel figure harness and by the
-    on-disk result cache; :func:`result_from_dict` is the exact inverse
-    (modulo JSON's string dict keys, which it restores).
+    perfbench digests this form's ``cg_stats`` section and compares the
+    digest with its recorded reference.
     """
     cg_stats = None
     if result.cg_stats is not None:
@@ -200,7 +196,7 @@ def result_to_dict(result: RunResult) -> Dict:
         # asdict() rebuilds each Counter as Counter(pair_iterable), which
         # *counts the pairs* instead of reconstructing the mapping — so the
         # Counter fields must be flattened to plain dicts by hand.
-        for name in _INT_KEYED_COUNTERS + _STR_KEYED_COUNTERS:
+        for name in _COUNTER_FIELDS:
             cg_stats[name] = dict(getattr(result.cg_stats, name))
     return {
         "workload": result.workload,
@@ -220,38 +216,6 @@ def result_to_dict(result: RunResult) -> Dict:
         "params": dict(result.params),
         "latency": result.latency,
     }
-
-
-def result_from_dict(data: Dict) -> RunResult:
-    """Rebuild a :class:`RunResult` from :func:`result_to_dict` output."""
-    from .harness.costmodel import CostBreakdown
-
-    cg_stats = None
-    if data["cg_stats"] is not None:
-        raw = dict(data["cg_stats"])
-        for name in _INT_KEYED_COUNTERS:
-            raw[name] = Counter({int(k): v for k, v in raw[name].items()})
-        for name in _STR_KEYED_COUNTERS:
-            raw[name] = Counter(raw[name])
-        cg_stats = CGStats(**raw)
-    return RunResult(
-        workload=data["workload"],
-        size=data["size"],
-        system=data["system"],
-        objects_created=data["objects_created"],
-        census=dict(data["census"]),
-        cg_stats=cg_stats,
-        gc_work=GCWork(**data["gc_work"]),
-        cost=CostBreakdown(**data["cost"]),
-        wall_seconds=data["wall_seconds"],
-        ops=data["ops"],
-        alloc_search_steps=data["alloc_search_steps"],
-        peak_live_words=data["peak_live_words"],
-        heap_words=data["heap_words"],
-        metrics=data.get("metrics", {}),
-        params=dict(data.get("params") or {}),
-        latency=data.get("latency") or {},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +267,9 @@ class RunRequest:
     params: Optional[Dict] = None
     #: Clear the cross-runtime codegen caches before the run, so it pays
     #: the true fresh-process warmup bill.  The SLA grid's first-request
-    #: latency measurements need this: in-process repeats and warm pool
-    #: workers would otherwise inherit a warm cache.  Observational —
-    #: caches change wall time, never counters.
+    #: latency measurements need this: in-process repeats would otherwise
+    #: inherit a warm cache.  Observational — caches change wall time,
+    #: never counters.
     cold_start: bool = False
 
     def resolve_workload(self) -> Workload:
@@ -383,50 +347,6 @@ class RunRequest:
         if self.faults is not None:
             config.faults = self.faults
         return wl, config, heap
-
-
-#: RunRequest fields that cross process boundaries (everything except the
-#: live-object ones: ``tracer`` and ``config`` hold unpicklable state and
-#: are rejected by :func:`request_to_dict`).
-_REQUEST_FIELDS = (
-    "workload", "size", "system", "heap_words", "gc_period_ops", "seed",
-    "profile", "heartbeat_every", "heartbeat_spool", "requests", "max_ops",
-    "params", "cold_start",
-)
-
-
-def request_to_dict(request: RunRequest) -> Dict:
-    """Flatten a :class:`RunRequest` to JSON-serializable primitives.
-
-    The wire form the worker pool sends to its worker processes;
-    :func:`request_from_dict` is the inverse.  Requests carrying a live
-    ``tracer`` or a prebuilt ``config`` are process-local by nature and
-    are rejected here — run those through :func:`execute` directly.
-    """
-    if request.tracer is not None:
-        raise ValueError("a RunRequest with a live tracer cannot be "
-                         "serialized; run it in-process via execute()")
-    if request.config is not None:
-        raise ValueError("a RunRequest with a prebuilt config cannot be "
-                         "serialized; pass system/heap_words instead")
-    if not isinstance(request.workload, str):
-        raise ValueError("only named workloads serialize; got a "
-                         f"{type(request.workload).__name__} instance")
-    data = {name: getattr(request, name) for name in _REQUEST_FIELDS}
-    data["faults"] = (request.faults.to_dict()
-                      if request.faults is not None else None)
-    return data
-
-
-def request_from_dict(data: Dict) -> RunRequest:
-    """Rebuild a :class:`RunRequest` from :func:`request_to_dict` output."""
-    kwargs = {name: data[name] for name in _REQUEST_FIELDS if name in data}
-    faults = data.get("faults")
-    if faults is not None:
-        faults = (faults if isinstance(faults, FaultPlan)
-                  else FaultPlan.from_dict(faults))
-    kwargs["faults"] = faults
-    return RunRequest(**kwargs)
 
 
 def execute(request: RunRequest) -> RunResult:
@@ -535,36 +455,3 @@ def run(
         heartbeat_spool=heartbeat_spool, faults=faults, config=config,
         requests=requests, max_ops=max_ops, params=params,
     ))
-
-
-def run_many(requests, jobs: int = 2, *,
-             cell_timeout: Optional[float] = None,
-             retries: int = 2) -> "list[RunResult]":
-    """Execute a batch of :class:`RunRequest`\\ s on the shared worker pool.
-
-    Results come back in request order.  A request whose cell exhausts
-    its retries (worker crash or timeout) raises
-    :class:`~repro.faults.QuarantinedCellError` carrying the pool's
-    :class:`~repro.faults.FaultReport` — the rest of the batch still
-    completes first.  ``jobs=0`` (or 1 with a single request) is the
-    degenerate case and runs in-process.
-    """
-    from .faults import QuarantinedCellError
-
-    requests = list(requests)
-    if jobs <= 1 and len(requests) <= 1:
-        return [execute(r) for r in requests]
-    from .harness.pool import get_shared_pool
-
-    pool_jobs = get_shared_pool(max(1, jobs)).run(
-        [request_to_dict(r) for r in requests],
-        plan=next((r.faults for r in requests if r.faults is not None), None),
-        timeout=cell_timeout, retries=retries,
-    )
-    results = []
-    for job in pool_jobs:
-        if job.status != "done":
-            key = tuple(job.cell_id.split(":"))
-            raise QuarantinedCellError(key, job.report)
-        results.append(result_from_dict(job.result_dict))
-    return results

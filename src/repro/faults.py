@@ -7,9 +7,8 @@ makes those failures reproducible:
 
 * A :class:`FaultPlan` arms failure points at named **sites** —
   ``heap.alloc`` (synthetic allocation failure), ``interp.step`` (an
-  injected trap in the dispatch loop), ``native.call`` (a native-boundary
-  escape failure), and ``harness.worker`` (a crash or hang inside a
-  parallel figure-grid worker).  Firing schedules are pure counter
+  injected trap in the dispatch loop) and ``native.call`` (a
+  native-boundary escape failure).  Firing schedules are pure counter
   arithmetic (``after``/``every``/``count``) so a plan replays identically
   on every run; there is no wall-clock or RNG dependence anywhere.
 * Each firing produces a :class:`FaultReport`; unrecoverable ones carry a
@@ -39,7 +38,6 @@ FAULT_SITES = (
     "heap.alloc",      # the free-list allocation returns no storage
     "interp.step",     # the dispatch loop hits a trap (bad-opcode analogue)
     "native.call",     # a native boundary crossing fails to escape-pin
-    "harness.worker",  # a parallel figure-grid worker crashes or hangs
 )
 
 #: Failure kinds each site supports.
@@ -47,7 +45,6 @@ SITE_KINDS: Dict[str, Tuple[str, ...]] = {
     "heap.alloc": ("oom",),
     "interp.step": ("trap",),
     "native.call": ("escape",),
-    "harness.worker": ("crash", "hang"),
 }
 
 
@@ -65,13 +62,9 @@ def did_you_mean(name: str, choices: Iterable[str]) -> str:
 class FaultSpec:
     """One armed site: fire ``count`` times starting at hit ``after``.
 
-    For the hit-counted sites (everything but ``harness.worker``) the hit
-    index is 0-based: ``after=10`` fails the 11th crossing of the site,
-    then every ``every``-th crossing after that, ``count`` times in total
-    (``count=None`` means unbounded).  For ``harness.worker`` the "hit"
-    is a (cell, attempt) pair: attempts ``after .. after+count-1`` of any
-    cell whose ``workload:size:system`` id starts with ``cell`` are
-    sabotaged; ``hang`` sleeps ``seconds`` before proceeding.
+    The hit index is 0-based: ``after=10`` fails the 11th crossing of the
+    site, then every ``every``-th crossing after that, ``count`` times in
+    total (``count=None`` means unbounded).
     """
 
     site: str
@@ -79,8 +72,6 @@ class FaultSpec:
     after: int = 0
     every: int = 1
     count: Optional[int] = 1
-    cell: Optional[str] = None
-    seconds: float = 2.0
 
     def __post_init__(self) -> None:
         if self.site not in FAULT_SITES:
@@ -100,19 +91,12 @@ class FaultSpec:
             raise ValueError("every must be >= 1")
         if self.count is not None and self.count < 1:
             raise ValueError("count must be >= 1 (or None for unbounded)")
-        if self.seconds <= 0:
-            raise ValueError("seconds must be positive")
 
     def to_dict(self) -> Dict:
         return {
             "site": self.site, "kind": self.kind, "after": self.after,
-            "every": self.every, "count": self.count, "cell": self.cell,
-            "seconds": self.seconds,
+            "every": self.every, "count": self.count,
         }
-
-    @staticmethod
-    def from_dict(data: Dict) -> "FaultSpec":
-        return FaultSpec(**data)
 
     _INT_KEYS = ("after", "every")
 
@@ -136,12 +120,8 @@ class FaultSpec:
                 kwargs[key] = int(value)
             elif key == "count":
                 kwargs[key] = None if value in ("inf", "*", "none") else int(value)
-            elif key == "seconds":
-                kwargs[key] = float(value)
-            elif key == "cell":
-                kwargs[key] = value
             else:
-                known = FaultSpec._INT_KEYS + ("count", "seconds", "cell")
+                known = FaultSpec._INT_KEYS + ("count",)
                 raise ValueError(
                     f"unknown fault option {key!r}{did_you_mean(key, known)}"
                 )
@@ -153,9 +133,7 @@ class FaultPlan:
 
     Firing state (hit and fire counters) is **per runtime**: the
     :class:`~repro.jvm.runtime.Runtime` constructor calls :meth:`rearm`,
-    so every run driven by the same plan replays the same schedule —
-    including each worker process of the parallel harness, which receives
-    its own deserialized copy.
+    so every run driven by the same plan replays the same schedule.
     """
 
     def __init__(self, specs: Iterable[FaultSpec] = (), seed: int = 0) -> None:
@@ -225,23 +203,6 @@ class FaultPlan:
         self._hits[site] += 1
         return False
 
-    def worker_injection(self, cell_id: str, attempt: int) -> Optional[FaultSpec]:
-        """The sabotage (if any) for attempt ``attempt`` of grid cell ``cell_id``.
-
-        Stateless per call: the decision depends only on the spec and the
-        (cell, attempt) pair, so retries of other cells never shift it.
-        """
-        spec = self._by_site.get("harness.worker")
-        if spec is None:
-            return None
-        if spec.cell and not cell_id.startswith(spec.cell):
-            return None
-        if attempt < spec.after:
-            return None
-        if spec.count is not None and attempt >= spec.after + spec.count:
-            return None
-        return spec
-
     # -- identity / serialization --------------------------------------
 
     def to_dict(self) -> Dict:
@@ -250,13 +211,6 @@ class FaultPlan:
             "specs": [spec.to_dict() for spec in
                       sorted(self.specs, key=lambda s: s.site)],
         }
-
-    @staticmethod
-    def from_dict(data: Dict) -> "FaultPlan":
-        return FaultPlan(
-            [FaultSpec.from_dict(spec) for spec in data.get("specs", [])],
-            seed=data.get("seed", 0),
-        )
 
     @staticmethod
     def parse(text: str, seed: int = 0) -> "FaultPlan":
@@ -399,8 +353,8 @@ class FaultError(VMError):
         super().__init__(message or report.message)
 
     def __reduce__(self):
-        # Keeps the report attached across the process boundary when a
-        # harness worker raises one of these (futures pickle exceptions).
+        # Exception's default pickling re-calls ``__init__`` with the
+        # message alone; pass the report too, so a pickled error keeps it.
         return (self.__class__, (self.report, str(self)))
 
 
@@ -410,25 +364,3 @@ class TrapFault(FaultError):
 
 class NativeCallFault(FaultError):
     """An injected failure at the native-call boundary."""
-
-
-class WorkerFault(FaultError):
-    """An injected crash inside a parallel figure-grid worker."""
-
-
-class QuarantinedCellError(VMError):
-    """A grid cell exhausted its retries and was quarantined.
-
-    Raised when a figure generator asks for the cell's result; the CLI
-    reports it and moves on instead of failing the whole grid.
-    """
-
-    def __init__(self, key: Tuple, report: Optional[FaultReport] = None):
-        self.key = key
-        self.report = report
-        super().__init__(f"cell {self.cell_id} is quarantined"
-                         + (f": {report.message}" if report else ""))
-
-    @property
-    def cell_id(self) -> str:
-        return f"{self.key[0]}:{self.key[1]}:{self.key[2]}"

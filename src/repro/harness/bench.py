@@ -249,7 +249,7 @@ def run_warmup_curve(
 
     Every cell starts truly cold — the cross-runtime codegen cache is
     cleared — then runs ``iters`` back-to-back iterations in one process
-    (the shape of a pool worker's batch: caches shared, runtimes fresh).
+    (the shape of a figure grid: caches shared, runtimes fresh).
     Reported per cell: the first-iteration wall (codegen bill included),
     the steady-state wall (min over iterations), the warmup ratio
     between them, and time-to-peak — the first iteration whose wall is

@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 
+from ..jvm.errors import VMError
 from ..obs.events import Tracer, read_trace, summarize, tracing_to, write_trace
 from . import figures as figures_mod
 from .figures import ALL_FIGURES
@@ -78,31 +79,10 @@ def main(argv=None) -> int:
         help="write one metrics record per executed run as JSON",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="prefetch the (workload, size, system) grid with N worker "
-             "processes before generating tables (default: 1, sequential)",
-    )
-    parser.add_argument(
-        "--result-cache", metavar="DIR",
-        help="persist per-cell run results as JSON under DIR and reuse them "
-             "across invocations (also: REPRO_RESULT_CACHE env var)",
-    )
-    parser.add_argument(
         "--faults", metavar="SPEC",
         help="arm a deterministic fault plan for every run, e.g. "
-             "'heap.alloc:oom:after=1000' or "
-             "'harness.worker:crash:cell=jess:count=inf' "
+             "'heap.alloc:oom:after=1000' "
              "(';'-separated specs; see repro.faults)",
-    )
-    parser.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-cell wall-clock timeout for --jobs prefetch workers; a "
-             "cell that times out is retried, then quarantined",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="extra attempts per failing/hanging cell before quarantine "
-             "(default: 2)",
     )
     parser.add_argument(
         "--heartbeat-every", type=int, default=None, metavar="OPS",
@@ -116,24 +96,20 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.result_cache:
-        figures_mod.set_result_cache(args.result_cache)
-
     if args.heartbeat_every is not None and args.heartbeat_every < 1:
         print("bad --heartbeat-every: must be >= 1", file=sys.stderr)
         return 2
-    # Process-global and observational only (never part of a cell key);
-    # set unconditionally so repeated main() calls in one process (tests)
-    # cannot leak a stale heartbeat setting.
-    figures_mod.set_heartbeat(args.heartbeat_every, args.spool)
-
+    plan = None
     if args.faults:
         try:
             plan = figures_mod.FaultPlan.parse(args.faults)
         except ValueError as exc:
             print(f"bad --faults spec: {exc}", file=sys.stderr)
             return 2
-        figures_mod.set_fault_plan(plan)
+    # Process-global; set unconditionally so repeated main() calls in one
+    # process (tests) cannot leak a stale heartbeat setting or fault plan.
+    figures_mod.set_heartbeat(args.heartbeat_every, args.spool)
+    figures_mod.set_fault_plan(plan)
 
     if args.list:
         for fig_id in ALL_FIGURES:
@@ -160,34 +136,19 @@ def main(argv=None) -> int:
             Tracer(args.trace_capacity) if args.trace_capacity else Tracer()
         )
 
+    skipped = []
+
     def generate() -> None:
-        # A quarantined cell sinks only the figures that read it; the rest
-        # of the grid still prints, and the skip is reported on stderr.
+        # A failing run sinks only the figure that reads it; the other
+        # figures still print, and the skip is reported on stderr.
         for fig_id in wanted:
             try:
                 print(ALL_FIGURES[fig_id]())
-            except figures_mod.QuarantinedCellError as exc:
-                print(
-                    f"[quarantine] figure {fig_id} skipped: "
-                    f"cell {exc.cell_id} is quarantined "
-                    f"({exc.report.kind if exc.report else 'unknown fault'})",
-                    file=sys.stderr,
-                )
+            except VMError as exc:
+                skipped.append(fig_id)
+                print(f"[skip] figure {fig_id}: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
             print()
-
-    if args.jobs > 1 and tracer is None:
-        # Warm the shared run cache in parallel; the generators then hit it.
-        # Skipped under --trace: worker processes would not see the tracer.
-        cells = figures_mod.prefetch(
-            wanted, args.jobs,
-            cell_timeout=args.cell_timeout, retries=args.retries,
-        )
-        print(
-            f"[prefetch] {cells} cells warmed with {args.jobs} jobs",
-            file=sys.stderr,
-        )
-    elif args.jobs > 1:
-        print("[prefetch] skipped: incompatible with --trace", file=sys.stderr)
 
     if tracer is not None:
         with tracing_to(tracer):
@@ -202,19 +163,6 @@ def main(argv=None) -> int:
         )
     else:
         generate()
-
-    quarantined = figures_mod.quarantined()
-    if quarantined:
-        print(
-            f"[quarantine] {len(quarantined)} cell(s) quarantined:",
-            file=sys.stderr,
-        )
-        for key, report in sorted(quarantined.items(), key=lambda kv: kv[0][:3]):
-            print(
-                f"[quarantine]   {key[0]}:{key[1]}:{key[2]} -> "
-                f"{report.site}/{report.kind}: {report.message}",
-                file=sys.stderr,
-            )
 
     if args.metrics:
         records = [
@@ -235,7 +183,7 @@ def main(argv=None) -> int:
             f"[metrics] {len(records)} run records -> {args.metrics}",
             file=sys.stderr,
         )
-    return 0
+    return 1 if skipped else 0
 
 
 if __name__ == "__main__":

@@ -9,18 +9,11 @@ Naming: ``fig4_1`` reproduces Figure 4.1, ``figA_2`` Table A.2, etc.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..api import RunResult, config_for, result_from_dict, result_to_dict
+from ..api import RunResult, config_for
 from ..api import run as api_run
-from ..faults import (
-    FaultPlan,
-    FaultReport,
-    QuarantinedCellError,
-)
+from ..faults import FaultPlan
 from ..workloads.base import SIZE_NAMES
 from .tables import Table, pct
 
@@ -33,33 +26,21 @@ TIMING_BENCHES = [b for b in BENCH_ORDER if b != "mtrt"]
 
 _CACHE: Dict[Tuple, RunResult] = {}
 
-#: Cells that exhausted their retries under the parallel harness; reading
-#: one raises QuarantinedCellError instead of hanging or recomputing.
-_QUARANTINE: Dict[Tuple, FaultReport] = {}
-
-#: Disk cache directory (None disables).  Seeded from the environment so
-#: subprocesses and CI jobs can opt in without CLI plumbing.
-_RESULT_CACHE_DIR: Optional[Path] = (
-    Path(os.environ["REPRO_RESULT_CACHE"])
-    if os.environ.get("REPRO_RESULT_CACHE") else None
-)
-
 #: Ambient fault plan applied to every cell run through this module (set
-#: by the CLI's --faults); workers receive a serialized copy.
+#: by the CLI's --faults).
 _FAULT_PLAN: Optional[FaultPlan] = None
 
 
 def set_fault_plan(plan: Optional[FaultPlan]) -> None:
-    """Arm ``plan`` for all subsequent cached/prefetched runs (None disarms)."""
+    """Arm ``plan`` for all subsequent cached runs (None disarms)."""
     global _FAULT_PLAN
     _FAULT_PLAN = plan
 
 
 #: Ambient heartbeat settings (set by the CLI's --heartbeat-every/--spool):
-#: every cell run through this module — sequentially or in a prefetch
-#: worker — spools live snapshots for ``python -m repro inspect --fleet``.
-#: Observational only and NOT part of the cell key: a cached cell never
-#: re-runs just to heartbeat.
+#: every cell run through this module spools live snapshots for
+#: ``python -m repro inspect --fleet``.  Observational only and NOT part
+#: of the cell key: a cached cell never re-runs just to heartbeat.
 _HEARTBEAT_EVERY: Optional[int] = None
 _HEARTBEAT_SPOOL: Optional[str] = None
 
@@ -69,12 +50,6 @@ def set_heartbeat(every: Optional[int], spool: Optional[str] = None) -> None:
     global _HEARTBEAT_EVERY, _HEARTBEAT_SPOOL
     _HEARTBEAT_EVERY = int(every) if every else None
     _HEARTBEAT_SPOOL = spool
-
-
-def set_result_cache(path: Optional[str]) -> None:
-    """Point the persistent result cache at ``path`` (None disables it)."""
-    global _RESULT_CACHE_DIR
-    _RESULT_CACHE_DIR = Path(path) if path else None
 
 
 def cell_key(workload: str, size: int, system: str,
@@ -95,50 +70,19 @@ def cell_key(workload: str, size: int, system: str,
             config.fingerprint())
 
 
-def _result_cache():
-    """The pool's :class:`~repro.harness.pool.ResultCache` at the armed
-    directory (so sequential cells and pool workers share its files), or
-    ``None``.  Imported on use: the pool module loads multiprocessing,
-    which a run without a result cache never needs."""
-    if _RESULT_CACHE_DIR is None:
-        return None
-    from .pool import ResultCache
-
-    return ResultCache(_RESULT_CACHE_DIR)
-
-
-def _disk_load(key: Tuple) -> Optional[RunResult]:
-    cache = _result_cache()
-    data = cache.load(key) if cache is not None else None
-    if data is None:
-        return None
-    try:
-        return result_from_dict(data)
-    except (ValueError, KeyError, TypeError):
-        # Stale entry: recompute rather than fail.
-        return None
-
-
 def cached_run(workload: str, size: int, system: str,
                gc_period_ops: Optional[int] = None,
                heap_words: Optional[int] = None) -> RunResult:
     plan = _FAULT_PLAN
     key = cell_key(workload, size, system, gc_period_ops, heap_words, plan)
-    if key in _QUARANTINE:
-        raise QuarantinedCellError(key, _QUARANTINE[key])
     result = _CACHE.get(key)
     if result is None:
-        result = _disk_load(key)
-        if result is None:
-            result = api_run(
-                workload, size, system, gc_period_ops=gc_period_ops,
-                heap_words=heap_words, faults=plan,
-                heartbeat_every=_HEARTBEAT_EVERY,
-                heartbeat_spool=_HEARTBEAT_SPOOL,
-            )
-            cache = _result_cache()
-            if cache is not None:
-                cache.store(key, result_to_dict(result))
+        result = api_run(
+            workload, size, system, gc_period_ops=gc_period_ops,
+            heap_words=heap_words, faults=plan,
+            heartbeat_every=_HEARTBEAT_EVERY,
+            heartbeat_spool=_HEARTBEAT_SPOOL,
+        )
         _CACHE[key] = result
     return result
 
@@ -156,12 +100,6 @@ def pressured_heap(workload: str, size: int) -> int:
 
 def clear_cache() -> None:
     _CACHE.clear()
-    _QUARANTINE.clear()
-
-
-def quarantined() -> Dict[Tuple, FaultReport]:
-    """Cells quarantined by the parallel harness, with their reports."""
-    return dict(_QUARANTINE)
 
 
 def cached_results() -> List[RunResult]:
@@ -463,177 +401,3 @@ ALL_FIGURES = {
     "A.6": lambda: figA_5_6_7(10, repetitions=3),
     "A.7": lambda: figA_5_6_7(100, repetitions=2),
 }
-
-
-# ---------------------------------------------------------------------------
-# Parallel prefetch
-#
-# The figure generators above are sequential by construction (each row pulls
-# from the shared cache).  ``prefetch`` warms that cache by submitting the
-# (workload, size, system) grid to the worker pool
-# (:mod:`repro.harness.pool`) first, so a subsequent generator pass is pure
-# cache hits.  Figures 4.12/4.13 depend on ``pressured_heap`` — a derived
-# heap size read off the ``cg-nogc`` result — so prefetch runs in two waves:
-# everything with a statically known config, then the pressured-heap cells.
-# The pool owns timeouts and retries; this module translates cell keys to
-# run requests and pool failures to :data:`_QUARANTINE` entries.
-# ---------------------------------------------------------------------------
-
-#: Cells each figure reads, as (system, sizes, benches) patterns.  Figures
-#: absent here either need no prefetch (A.5-A.7 time uncached repeated
-#: runs) or are handled by the pressured-heap second wave.
-_FIGURE_CELLS: Dict[str, List[Tuple[str, Tuple[int, ...], List[str]]]] = {
-    "4.1": [("cg-noopt-nogc", (1,), BENCH_ORDER), ("cg-nogc", (1,), BENCH_ORDER)],
-    "4.2": [("cg-nogc", (1,), BENCH_ORDER)],
-    "4.3": [("cg-nogc", (10,), BENCH_ORDER)],
-    "4.4": [("cg-nogc", (100,), BENCH_ORDER)],
-    "4.5": [("cg-nogc", (1,), BENCH_ORDER)],
-    "4.6": [("cg-nogc", (1,), BENCH_ORDER)],
-    "4.7": [(s, (1,), TIMING_BENCHES)
-            for s in ("cg", "jdk", "cg-nogc", "jdk-nogc")],
-    "4.8": [(s, (10,), TIMING_BENCHES)
-            for s in ("cg", "jdk", "cg-nogc", "jdk-nogc")],
-    "4.9": [("cg-nogc", (100,), BENCH_ORDER)],
-    "4.10": [(s, (1, 10, 100), TIMING_BENCHES) for s in ("cg", "jdk")],
-    "4.11": [("cg-reset", (1,), BENCH_ORDER)],
-    "A.1": [("cg-nogc", (1,), BENCH_ORDER)],
-    "A.2": [("cg-nogc", (1,), BENCH_ORDER)],
-    "A.3": [("cg-nogc", (10,), BENCH_ORDER)],
-    "A.4": [("cg-nogc", (100,), BENCH_ORDER)],
-}
-
-#: Figures whose runs need ``pressured_heap`` (second prefetch wave).
-_PRESSURED_FIGURES: Dict[str, List[str]] = {
-    "4.12": ["cg", "cg-recycle"],
-    "4.13": ["cg-recycle"],
-}
-
-
-def _cell_id(key: Tuple) -> str:
-    """Human-readable cell id (``workload:size:system``) for fault specs."""
-    return f"{key[0]}:{key[1]}:{key[2]}"
-
-
-def _request_for(key: Tuple) -> Dict:
-    """The serialized run request for one cell key (the pool's wire form).
-
-    The ambient fault plan and heartbeat settings ride along, so
-    pool-computed cells are interchangeable with sequential ones.
-    """
-    workload, size, system, gc_period_ops, heap_words = key[:5]
-    plan = _FAULT_PLAN
-    return {
-        "workload": workload,
-        "size": size,
-        "system": system,
-        "gc_period_ops": gc_period_ops,
-        "heap_words": heap_words,
-        "heartbeat_every": _HEARTBEAT_EVERY,
-        "heartbeat_spool": _HEARTBEAT_SPOOL,
-        "faults": plan.to_dict() if plan is not None else None,
-    }
-
-
-def _spool_quarantine(key: Tuple, report: FaultReport) -> None:
-    """Record a quarantined cell in the heartbeat spool (best effort).
-
-    ``repro inspect --fleet`` picks these up so a grid watched from
-    another process shows quarantine state, not just silent gaps.
-    """
-    if _HEARTBEAT_EVERY is None:
-        return
-    from ..obs.heartbeat import default_spool_dir
-    spool = Path(_HEARTBEAT_SPOOL) if _HEARTBEAT_SPOOL else default_spool_dir()
-    try:
-        spool.mkdir(parents=True, exist_ok=True)
-        cell = _cell_id(key).replace("/", "_").replace(":", "-")
-        path = spool / f"quarantine-{cell}.json"
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps({
-            "cell": _cell_id(key),
-            "site": report.site,
-            "kind": report.kind,
-            "message": report.message,
-            "context": report.context,
-        }, indent=2))
-        os.replace(tmp, path)
-    except OSError:
-        pass
-
-
-def _run_wave(keys: List[Tuple], jobs: int,
-              cell_timeout: Optional[float] = None, retries: int = 2) -> None:
-    """Fill the cache for ``keys``, running the misses on the worker pool.
-
-    Fault tolerance belongs to the pool: each cell gets ``1 + retries``
-    attempts (with exponential backoff between rounds) and at most
-    ``cell_timeout`` seconds per attempt; a crashed worker is replaced
-    and its cell retried.  A cell that exhausts its attempts comes back
-    ``failed`` with a :class:`FaultReport` and is quarantined here, so
-    the rest of the grid completes and readers get a structured error.
-    No pool is created when every key is already in memory or on disk.
-    """
-    from .pool import get_shared_pool
-
-    misses = []
-    for key in keys:
-        if key in _CACHE or key in _QUARANTINE:
-            continue
-        result = _disk_load(key)
-        if result is not None:
-            _CACHE[key] = result
-        else:
-            misses.append(key)
-    if not misses:
-        return
-    pool_jobs = get_shared_pool(jobs).run(
-        [_request_for(key) for key in misses],
-        keys=misses, plan=_FAULT_PLAN,
-        timeout=cell_timeout, retries=retries,
-        cache_dir=str(_RESULT_CACHE_DIR) if _RESULT_CACHE_DIR else None,
-    )
-    for key, job in zip(misses, pool_jobs):
-        if job.status == "done":
-            _CACHE[key] = result_from_dict(job.result_dict)
-        else:
-            _QUARANTINE[key] = job.report
-            _spool_quarantine(key, job.report)
-
-
-def prefetch(figure_ids: Iterable[str], jobs: int,
-             cell_timeout: Optional[float] = None, retries: int = 2) -> int:
-    """Warm the run cache for ``figure_ids`` using ``jobs`` processes.
-
-    Returns the number of cells ensured (cached, computed, or — when a
-    fault plan sabotages workers — quarantined).  Unknown figure ids are
-    ignored; generators themselves stay sequential.
-    """
-    plan = _FAULT_PLAN
-    wanted = [f for f in figure_ids if f in ALL_FIGURES]
-    wave1: List[Tuple] = []
-    for fig in wanted:
-        for system, sizes, benches in _FIGURE_CELLS.get(fig, []):
-            for size in sizes:
-                for name in benches:
-                    wave1.append(cell_key(name, size, system, plan=plan))
-        if fig in _PRESSURED_FIGURES:
-            # The pressured-heap figures read the cg-nogc peak first.
-            for name in BENCH_ORDER:
-                wave1.append(cell_key(name, 1, "cg-nogc", plan=plan))
-    wave1 = list(dict.fromkeys(wave1))
-    _run_wave(wave1, jobs, cell_timeout=cell_timeout, retries=retries)
-
-    wave2: List[Tuple] = []
-    for fig in wanted:
-        for system in _PRESSURED_FIGURES.get(fig, []):
-            for name in BENCH_ORDER:
-                try:
-                    heap = pressured_heap(name, 1)
-                except QuarantinedCellError:
-                    continue  # its cg-nogc seed cell was quarantined
-                wave2.append(
-                    cell_key(name, 1, system, heap_words=heap, plan=plan)
-                )
-    wave2 = list(dict.fromkeys(wave2))
-    _run_wave(wave2, jobs, cell_timeout=cell_timeout, retries=retries)
-    return len(wave1) + len(wave2)

@@ -374,8 +374,8 @@ def cached_method_py(interp, method: JMethod) -> Optional[PyCompiledMethod]:
 
     The tiered driver probes this on a cold method's first visit: the
     hotness profile exists to decide whether paying for codegen is
-    worth it, and a warm cache (bench repeats, a warm pool worker's
-    later cells) makes codegen free, so a hit promotes immediately
+    worth it, and a warm cache (bench repeats, a figure grid's later
+    cells) makes codegen free, so a hit promotes immediately
     instead of re-earning the threshold.  Promotion timing is pure
     wall-time policy — counters are promotion-invariant — so the
     short-circuit can never change results.

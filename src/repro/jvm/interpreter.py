@@ -895,7 +895,7 @@ class Interpreter:
                         # First visit ever: probe the codegen cache once.
                         # The threshold exists to decide whether codegen
                         # pays for itself; a warm cache (bench repeats,
-                        # a warm pool worker's later cells) makes it
+                        # a figure grid's later cells) makes it
                         # free, so a hit promotes immediately instead of
                         # re-earning the profile.  Pure wall-time
                         # policy — parity is tier-invariant.

@@ -30,7 +30,7 @@ Design constraints, in order:
   first; per process at most :data:`MAX_RUN_FILES` run files are kept.
 
 One run maps to one spool file ``run-<pid>-<n>.jsonl`` (``n`` is a
-per-process run ordinal: pool workers execute many cells per process).
+per-process run ordinal: a figure grid runs many cells per process).
 The spool directory defaults to ``$REPRO_SPOOL`` or
 ``<tempdir>/repro-spool``.
 """
@@ -73,7 +73,7 @@ SNAPSHOT_SCHEMA = "cg-snapshot/8"
 #: Snapshots retained per run file (a ring: older beats roll off).
 DEFAULT_RING = 16
 
-#: Run files retained per process (pool workers run many cells).
+#: Run files retained per process (a figure grid runs many cells).
 MAX_RUN_FILES = 16
 
 _RUN_FILE_RE = re.compile(r"^run-(\d+)-(\d+)\.jsonl$")

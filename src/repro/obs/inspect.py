@@ -14,8 +14,7 @@ Three views:
   new snapshot lands (``--count N`` stops after N renders).
 * ``repro inspect`` / ``repro inspect --fleet [DIR]`` — a grid-wide
   rollup over every run file in the spool: per-cell progress (labels,
-  seq, ops, heap pressure, live/done/stale), quarantine records written
-  by the figure prefetch (``--jobs N``), and aggregate heap pressure.
+  seq, ops, heap pressure, live/done/stale) and aggregate heap pressure.
 * ``--json`` on either view emits the structured form instead of text.
 
 Everything here is read-only and tolerant: a torn line, a file pruned
@@ -86,24 +85,6 @@ def discover_runs(spool: Path) -> List[Path]:
         except OSError:
             return 0.0
     return sorted(runs, key=mtime)
-
-
-def discover_quarantine(spool: Path) -> List[Dict]:
-    """Quarantine records the figure prefetch spooled (see figures.py)."""
-    records: List[Dict] = []
-    try:
-        paths = sorted(spool.glob("quarantine-*.json"))
-    except OSError:
-        return []
-    for path in paths:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-        except (OSError, ValueError):
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records
 
 
 def resolve_target(target: str, spool: Path) -> Optional[Path]:
@@ -252,20 +233,17 @@ def fleet_rollup(spool: Path,
             "heap_capacity_words": heap.get("capacity_words", 0.0),
             "heap_occupancy": heap.get("occupancy", 0.0),
         })
-    quarantine = discover_quarantine(spool)
     active = [r for r in runs if r["status"] != "done"]
     live_words = sum(r["heap_live_words"] for r in active)
     capacity = sum(r["heap_capacity_words"] for r in active)
     return {
         "spool": str(spool),
         "runs": runs,
-        "quarantine": quarantine,
         "aggregate": {
             "runs": len(runs),
             "live": sum(1 for r in runs if r["status"] == "live"),
             "done": sum(1 for r in runs if r["status"] == "done"),
             "stale": sum(1 for r in runs if r["status"] == "stale"),
-            "quarantined": len(quarantine),
             "workers": sorted({r["pid"] for r in runs
                                if r["pid"] is not None}),
             "live_words": live_words,
@@ -280,7 +258,6 @@ def render_fleet(rollup: Dict) -> str:
     lines = [
         f"fleet: {agg['runs']} run(s) in {rollup['spool']}"
         f" — {agg['live']} live, {agg['done']} done, {agg['stale']} stale,"
-        f" {agg['quarantined']} quarantined,"
         f" {len(agg['workers'])} worker(s)"
     ]
     if rollup["runs"]:
@@ -294,12 +271,6 @@ def render_fleet(rollup: Dict) -> str:
                 f" {100.0 * (run['heap_occupancy'] or 0.0):6.1f}"
                 f" {run['status']:>6}"
             )
-    for record in rollup["quarantine"]:
-        lines.append(
-            f"  [quarantine] {record.get('cell', '?')} -> "
-            f"{record.get('site', '?')}/{record.get('kind', '?')}: "
-            f"{record.get('message', '')}"
-        )
     if agg["capacity_words"]:
         lines.append(
             f"  aggregate heap pressure:"

@@ -43,11 +43,6 @@ class TestFaultSpecValidation:
         assert spec.every == 10
         assert spec.count is None
 
-    def test_parse_worker_spec(self):
-        spec = FaultSpec.parse("harness.worker:hang:cell=jess:seconds=0.5")
-        assert spec.cell == "jess"
-        assert spec.seconds == 0.5
-
     def test_parse_rejects_unknown_option(self):
         with pytest.raises(ValueError, match="did you mean 'count'"):
             FaultSpec.parse("heap.alloc:oom:coutn=3")
@@ -95,39 +90,7 @@ class TestFiringSchedule:
                        FaultSpec("heap.alloc", "oom", after=5)])
 
 
-class TestWorkerInjection:
-    def test_cell_prefix_match(self):
-        plan = FaultPlan([FaultSpec("harness.worker", "crash", cell="jess")])
-        assert plan.worker_injection("jess:1:cg-nogc", 0) is not None
-        assert plan.worker_injection("db:1:cg-nogc", 0) is None
-
-    def test_no_cell_matches_everything(self):
-        plan = FaultPlan([FaultSpec("harness.worker", "crash")])
-        assert plan.worker_injection("db:1:cg", 0) is not None
-
-    def test_attempt_window(self):
-        plan = FaultPlan([FaultSpec("harness.worker", "crash",
-                                    after=1, count=2)])
-        hits = [plan.worker_injection("jess:1:cg", a) is not None
-                for a in range(5)]
-        assert hits == [False, True, True, False, False]
-
-    def test_stateless_across_cells(self):
-        plan = FaultPlan([FaultSpec("harness.worker", "crash", count=1)])
-        # Another cell's attempts never consume this cell's schedule.
-        for _ in range(3):
-            assert plan.worker_injection("db:1:cg", 0) is not None
-
-
 class TestPlanIdentity:
-    def test_round_trip_preserves_fingerprint(self):
-        plan = FaultPlan.parse(
-            "heap.alloc:oom:after=50;harness.worker:crash:cell=jess:count=inf"
-        )
-        clone = FaultPlan.from_dict(plan.to_dict())
-        assert clone.fingerprint() == plan.fingerprint()
-        assert clone.to_dict() == plan.to_dict()
-
     def test_fingerprint_ignores_firing_state(self):
         plan = FaultPlan([FaultSpec("heap.alloc", "oom", after=1)])
         before = plan.fingerprint()

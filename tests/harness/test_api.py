@@ -56,63 +56,14 @@ class TestSingleEntrypoint:
         assert armed.cg_stats == clean.cg_stats
 
 
-class TestRequestSerialization:
-    def test_round_trip_preserves_every_wire_field(self):
-        plan = FaultPlan.parse("heap.alloc:oom:after=1000000000")
-        original = RunRequest("jess", 2, "cg-nogc", heap_words=1 << 18,
-                              gc_period_ops=700, seed=17, profile=True,
-                              heartbeat_every=300, cold_start=True,
-                              faults=plan)
-        restored = api.request_from_dict(api.request_to_dict(original))
-        for field in api._REQUEST_FIELDS:
-            assert getattr(restored, field) == getattr(original, field)
-        assert restored.faults.fingerprint() == plan.fingerprint()
-
-    def test_wire_form_is_json_clean(self):
-        import json
-
-        data = api.request_to_dict(RunRequest("db", 1, "cg"))
-        assert json.loads(json.dumps(data)) == data
-
-    def test_live_tracer_and_prebuilt_config_are_rejected(self):
-        from repro.obs.events import Tracer
-
-        with pytest.raises(ValueError, match="tracer"):
-            api.request_to_dict(RunRequest("db", 1, "cg", tracer=Tracer()))
-        with pytest.raises(ValueError, match="config"):
-            api.request_to_dict(RunRequest(
-                "db", 1, "cg", config=RuntimeConfig()))
-
-    def test_workload_objects_are_rejected(self):
-        from repro.workloads import get_workload
-
-        with pytest.raises(ValueError, match="named workloads"):
-            api.request_to_dict(RunRequest(get_workload("db"), 1, "cg"))
-
-
 class TestWorkloadSpec:
     """A named workload plus its ``params``: a parameterized run's spec."""
-
-    def test_spec_round_trips_through_wire_form(self):
-        original = RunRequest("server", system="cg", requests=25,
-                              params={"pattern": "bursty"}, profile=True)
-        data = api.request_to_dict(original)
-        assert data["workload"] == "server"
-        assert data["params"] == {"pattern": "bursty"}
-        restored = api.request_from_dict(data)
-        assert restored.workload == "server"
-        assert restored.params == original.params
-        assert restored.requests == 25
-        assert (api.execute(restored).params
-                == api.execute(original).params)
 
     def test_result_carries_resolved_params(self):
         result = api.execute(RunRequest("server", system="cg", requests=25))
         assert result.params["requests"] == 25
         assert result.params["pattern"] == "steady"  # schema default
-        restored = api.result_from_dict(api.result_to_dict(result))
-        assert restored.params == result.params
-        assert restored.latency == result.latency
+        assert api.result_to_dict(result)["params"] == result.params
 
 
 class TestTerminationPolicy:
@@ -141,32 +92,6 @@ class TestTerminationPolicy:
         assert run("server", system="cg", requests=25).size == 0
 
 
-class TestCacheVersioning:
-    def test_cache_version_bumped_for_tiered_default(self):
-        from repro.harness.pool import CACHE_VERSION
-
-        assert CACHE_VERSION == 4
-
-
-class TestRunMany:
-    def test_pooled_batch_matches_in_process_runs(self):
-        from repro.harness.pool import shutdown_shared_pool
-
-        requests = [RunRequest(name, 1, "cg-nogc")
-                    for name in ("db", "jess")]
-        try:
-            pooled = api.run_many(requests, jobs=2)
-        finally:
-            shutdown_shared_pool()
-        direct = [api.execute(r) for r in requests]
-        assert [r.ops for r in pooled] == [r.ops for r in direct]
-        assert [r.cg_stats for r in pooled] == [r.cg_stats for r in direct]
-
-    def test_single_request_runs_in_process(self):
-        (result,) = api.run_many([RunRequest("db", 1, "cg-nogc")], jobs=1)
-        assert result.ops == run("db", 1, "cg-nogc").ops
-
-
 class TestRunnerShimGone:
     def test_runner_module_is_deleted(self):
         # PR 7 removed the PR-4 deprecation shim; repro.api is the only
@@ -180,7 +105,6 @@ class TestRunnerShimGone:
             SYSTEMS,
             RunResult,
             config_for,
-            result_from_dict,
             result_to_dict,
         )
 
@@ -284,11 +208,8 @@ class TestCacheKeyedByFingerprint:
     def teardown_method(self):
         figures_mod.clear_cache()
         figures_mod.set_fault_plan(None)
-        figures_mod.set_result_cache(None)
 
-    def test_armed_plan_never_serves_stale_clean_result(
-            self, tmp_path, monkeypatch):
-        figures_mod.set_result_cache(str(tmp_path))
+    def test_armed_plan_never_serves_stale_clean_result(self, monkeypatch):
         calls = []
         real = figures_mod.api_run
 
@@ -298,15 +219,22 @@ class TestCacheKeyedByFingerprint:
 
         monkeypatch.setattr(figures_mod, "api_run", counting)
 
-        figures_mod.cached_run("db", 1, "cg")
+        clean = figures_mod.cached_run("db", 1, "cg")
         assert len(calls) == 1
-        figures_mod.clear_cache()
-        figures_mod.cached_run("db", 1, "cg")
-        assert len(calls) == 1  # disk hit: same fingerprint
+        assert figures_mod.cached_run("db", 1, "cg") is clean
+        assert len(calls) == 1  # cache hit: same fingerprint
 
         plan = FaultPlan.parse("heap.alloc:oom:after=1000000000")
         figures_mod.set_fault_plan(plan)
-        figures_mod.cached_run("db", 1, "cg")
+        armed = figures_mod.cached_run("db", 1, "cg")
         assert len(calls) == 2  # the armed plan forces a fresh run
         assert calls[1] is plan
-        assert len(list(tmp_path.iterdir())) == 2  # two distinct entries
+        assert armed is not clean
+        assert len(figures_mod.cached_results()) == 2  # two distinct entries
+
+    def test_faulted_and_clean_cells_never_collide(self):
+        clean_key = figures_mod.cell_key("db", 1, "cg-nogc")
+        plan = FaultPlan.parse("heap.alloc:oom:after=1000000000")
+        armed_key = figures_mod.cell_key("db", 1, "cg-nogc", plan=plan)
+        assert clean_key != armed_key
+        assert clean_key[:5] == armed_key[:5]

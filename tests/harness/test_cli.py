@@ -1,4 +1,4 @@
-"""The CLI's observability flags: --trace, trace-summary, --metrics."""
+"""The CLI's flags: --trace, trace-summary, --metrics, --faults."""
 
 import json
 
@@ -13,6 +13,7 @@ def fresh_cache():
     figures.clear_cache()
     yield
     figures.clear_cache()
+    figures.set_fault_plan(None)
 
 
 def test_list_names_figures(capsys):
@@ -55,3 +56,19 @@ def test_metrics_flag_writes_run_records(tmp_path, capsys):
     first = records[0]
     assert {"workload", "size", "system", "metrics"} <= set(first)
     assert first["metrics"]["counters"]["vm.ops"] > 0
+
+
+def test_failing_figure_is_one_stderr_line(capsys):
+    # Every allocation from the 101st on fails, past what the recovery
+    # cascade can absorb: the figure is skipped and the exit code says so.
+    assert cli.main(["4.2", "--faults",
+                     "heap.alloc:oom:after=100:count=inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("[skip] figure 4.2: OutOfMemoryError: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    # One failure the cascade recovers from leaves the figure intact.
+    assert cli.main(["4.2", "--faults", "heap.alloc:oom:after=1000"]) == 0
+    captured = capsys.readouterr()
+    assert "Fig 4.2" in captured.out
+    assert "[skip]" not in captured.err

@@ -2,10 +2,9 @@
 
 Every process that runs a cell pays for the modules ``import repro``
 pulls in, in resident memory and start-up time, so the package keeps
-heavyweight standard-library machinery off that path: ``socket`` has no
-user in the package, and ``multiprocessing`` belongs to the worker pool,
-which only its callers import.  A run needs the cost model from the
-harness but none of the figure machinery.
+heavyweight standard-library machinery off that path: neither ``socket``
+nor ``multiprocessing`` has a user in the package.  A run needs the cost
+model from the harness but none of the figure machinery.
 """
 
 import os

@@ -5,7 +5,7 @@ visit and skip source generation; a ``cold_start`` request clears it
 first and pays the fresh-process codegen bill again.
 """
 
-from repro.api import RunRequest, execute, request_from_dict, request_to_dict
+from repro.api import RunRequest, execute
 
 
 class TestColdStartRequests:
@@ -22,10 +22,3 @@ class TestColdStartRequests:
         assert warm_gen == 0
         assert cold_gen > 0
 
-    def test_cold_start_round_trips_the_wire(self):
-        request = RunRequest("bc-loop", 1, "cg-compiled", cold_start=True)
-        restored = request_from_dict(request_to_dict(request))
-        assert restored.cold_start is True
-        assert request_from_dict(
-            request_to_dict(RunRequest("bc-loop", 1, "cg"))
-        ).cold_start is False

@@ -100,23 +100,18 @@ class TestFleetRollup:
         stale = write_run(tmp_path, 12, [fake_snapshot(pid=12)], ordinal=1)
         old = time.time() - 3600
         os.utime(stale, (old, old))
-        (tmp_path / "quarantine-db_1_cg.json").write_text(json.dumps(
-            {"cell": "db:1:cg", "site": "harness.worker", "kind": "crash",
-             "message": "boom"}
-        ))
         rollup = inspect_mod.fleet_rollup(tmp_path, stale_after=10.0)
         agg = rollup["aggregate"]
         assert agg["runs"] == 3
         assert (agg["live"], agg["done"], agg["stale"]) == (1, 1, 1)
-        assert agg["quarantined"] == 1
         assert agg["workers"] == [10, 11, 12]
         # done runs are excluded from aggregate pressure: 2 active runs.
         assert agg["live_words"] == 800
         assert agg["capacity_words"] == 2000
         assert agg["heap_pressure"] == pytest.approx(0.4)
         text = inspect_mod.render_fleet(rollup)
-        assert "1 live, 1 done, 1 stale, 1 quarantined" in text
-        assert "db:1:cg" in text and "boom" in text
+        assert "1 live, 1 done, 1 stale, 3 worker(s)" in text
+        assert "compress:1:cg" in text
         assert "aggregate heap pressure" in text
 
     def test_empty_spool(self, tmp_path):
